@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use milr_core::database::Ranking;
 use milr_core::error::CoreError;
 use milr_core::storage::storage_err;
-use milr_core::{QuerySession, RetrievalConfig, RetrievalDatabase};
+use milr_core::{QuerySession, RetrievalConfig};
 use milr_mil::{BagAggregator, Concept};
 use milr_serve::cache::{CachedConcept, ConceptCache, ConceptKey};
 use milr_serve::client;
@@ -144,8 +144,9 @@ impl WorkerSlot {
 /// One loaded snapshot epoch. In-flight requests pin it via `Arc`, so a
 /// reload never tears ranking out from under a scatter.
 struct CoordinatorEpoch {
-    /// Live (tombstone-compacted) view for local concept training.
-    db: Arc<RetrievalDatabase>,
+    /// The opened store, addressed in its live (tombstone-compressed)
+    /// index space for local concept training.
+    store: Arc<ShardedDatabase>,
     summary: ManifestSummary,
     /// Manifest generation **verbatim** (not bumped like the single-node
     /// daemon's reload counter) so coordinator and workers reading the
@@ -188,15 +189,14 @@ impl CoordinatorDaemon {
 
     fn load_epoch(options: &CoordinatorOptions) -> Result<CoordinatorEpoch, CoreError> {
         let summary = read_manifest(&options.snapshot_dir)?;
-        let store = ShardedDatabase::open(&options.snapshot_dir)?;
-        let db = Arc::new(store.to_database()?);
+        let store = Arc::new(ShardedDatabase::open(&options.snapshot_dir)?);
         let assignment = assign_shards(
             &summary.shards.iter().map(|s| s.id).collect::<Vec<_>>(),
             options.workers.len(),
         );
         let generation = summary.generation;
         Ok(CoordinatorEpoch {
-            db,
+            store,
             summary,
             generation,
             assignment,
@@ -453,7 +453,7 @@ impl CoordinatorDaemon {
                 // Train outside the cache lock; identical concurrent
                 // misses converge on the same deterministic concept.
                 let trained = (|| -> Result<CachedConcept, CoreError> {
-                    let mut session = QuerySession::builder(Arc::clone(&epoch.db))
+                    let mut session = QuerySession::builder(Arc::clone(&epoch.store))
                         .config(config)
                         .positives(positives.clone())
                         .negatives(negatives.clone())

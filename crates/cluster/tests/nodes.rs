@@ -125,10 +125,8 @@ fn cluster_rank_is_bit_identical_to_single_node_over_the_wire() {
     // The single-node daemon over the *same* snapshot (same generation,
     // so the two sides train identical concept-cache keys too).
     let loaded = milr_store::load_snapshot(&dir).unwrap();
-    let single = milr_serve::Server::start_with_generation(
-        loaded.database,
-        loaded.generation,
-        loaded.shards,
+    let single = milr_serve::Server::start_with_snapshot(
+        loaded,
         ServeOptions {
             addr: "127.0.0.1:0".into(),
             ..ServeOptions::default()

@@ -18,8 +18,10 @@
 //! `Concept::instance_distance_sq_below` for the invariant), which the
 //! workspace property tests pin down.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::fmt;
 
 use milr_imgproc::GrayImage;
 use milr_mil::{Bag, BagAggregator, Concept};
@@ -180,6 +182,53 @@ pub struct BatchQuery {
     /// `Some(k)` for a bounded page, `None` for the full ranking —
     /// same semantics as [`RankRequest::top_k`].
     pub top_k: Option<usize>,
+}
+
+/// The read side a `QuerySession` needs from the collection it queries:
+/// addressable bags, their labels, and a ranking over explicit
+/// candidates. [`RetrievalDatabase`] implements it over its bag vector;
+/// the sharded store in `milr-store` implements it over its shards, so a
+/// daemon can train and rank sessions on the store it serves from.
+///
+/// Indices run `0..len()`. Every implementation ranks with the same
+/// kernel and the same `(distance, index)` tie-break, so rankings agree
+/// bit for bit across implementations.
+pub trait Corpus: fmt::Debug + Send + Sync {
+    /// Number of addressable images.
+    fn len(&self) -> usize;
+
+    /// Whether no image is addressable.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Feature dimension of the bags.
+    fn feature_dim(&self) -> usize;
+
+    /// The bag of one image (borrowed where the implementation stores
+    /// [`Bag`]s, built on demand where it stores a flat layout).
+    ///
+    /// # Errors
+    /// [`CoreError::IndexOutOfBounds`] for bad indices.
+    fn bag(&self, index: usize) -> Result<Cow<'_, Bag>, CoreError>;
+
+    /// All labels, in index order.
+    fn labels(&self) -> Cow<'_, [usize]>;
+
+    /// Ranks an explicit candidate slice by ascending bag distance under
+    /// `aggregator`: the full sorted ranking, or its first `k` entries
+    /// for `top_k: Some(k)`. Output is identical for any `threads`.
+    ///
+    /// # Errors
+    /// [`CoreError::IndexOutOfBounds`] if any candidate index is invalid.
+    fn rank_candidates(
+        &self,
+        concept: &Concept,
+        candidates: &[usize],
+        top_k: Option<usize>,
+        threads: usize,
+        aggregator: BagAggregator,
+    ) -> Result<Ranking, CoreError>;
 }
 
 /// A labelled collection of preprocessed image bags.
@@ -391,25 +440,6 @@ impl RetrievalDatabase {
         )
     }
 
-    /// The shared ranking engine behind [`Self::rank`] and the session
-    /// scopes: an explicit candidate slice, already resolved.
-    pub(crate) fn rank_candidates(
-        &self,
-        concept: &Concept,
-        candidates: &[usize],
-        top_k: Option<usize>,
-        threads: usize,
-        aggregator: BagAggregator,
-    ) -> Result<Ranking, CoreError> {
-        for &index in candidates {
-            self.bag(index)?;
-        }
-        match top_k {
-            Some(k) => self.rank_bounded(concept, candidates, k, aggregator),
-            None => self.rank_full(concept, candidates, threads, aggregator),
-        }
-    }
-
     /// Full parallel ranking: score, index-ordered merge, sort. The
     /// min-distance arm is byte-for-byte the pre-aggregator fan-out;
     /// non-min aggregators swap only the per-bag scorer for the exact
@@ -515,9 +545,8 @@ impl RetrievalDatabase {
     }
 
     /// Ranks several concepts over the same candidate set in **one**
-    /// database traversal — the engine behind the daemon's cross-request
-    /// batching, where concurrent `/rank` calls against one snapshot
-    /// epoch coalesce into a single dispatch.
+    /// database traversal (the daemon serves from the sharded store
+    /// instead; this stays as a batched oracle and benchmark baseline).
     ///
     /// Each query is bit-identical to its own [`Self::rank`] call by
     /// construction: candidates are visited in the same order, every
@@ -718,6 +747,43 @@ impl RetrievalDatabase {
         self.labels.push(label);
         self.category_count = self.category_count.max(label + 1);
         Ok(self.bags.len() - 1)
+    }
+}
+
+impl Corpus for RetrievalDatabase {
+    fn len(&self) -> usize {
+        self.bags.len()
+    }
+
+    fn feature_dim(&self) -> usize {
+        self.feature_dim
+    }
+
+    fn bag(&self, index: usize) -> Result<Cow<'_, Bag>, CoreError> {
+        RetrievalDatabase::bag(self, index).map(Cow::Borrowed)
+    }
+
+    fn labels(&self) -> Cow<'_, [usize]> {
+        Cow::Borrowed(&self.labels)
+    }
+
+    /// The shared ranking engine behind [`RetrievalDatabase::rank`] and
+    /// the session scopes: an explicit candidate slice, already resolved.
+    fn rank_candidates(
+        &self,
+        concept: &Concept,
+        candidates: &[usize],
+        top_k: Option<usize>,
+        threads: usize,
+        aggregator: BagAggregator,
+    ) -> Result<Ranking, CoreError> {
+        for &index in candidates {
+            RetrievalDatabase::bag(self, index)?;
+        }
+        match top_k {
+            Some(k) => self.rank_bounded(concept, candidates, k, aggregator),
+            None => self.rank_full(concept, candidates, threads, aggregator),
+        }
     }
 }
 

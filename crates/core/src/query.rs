@@ -28,7 +28,7 @@ use std::sync::Arc;
 use milr_mil::{train, Bag, BagLabel, Concept, MilDataset};
 
 use crate::config::RetrievalConfig;
-use crate::database::{RankRequest, RankScope, RetrievalDatabase};
+use crate::database::{Corpus, RankRequest, RankScope, RetrievalDatabase};
 use crate::error::CoreError;
 
 pub use crate::database::Ranking;
@@ -41,15 +41,17 @@ pub use crate::database::Ranking;
 /// long-lived map, where a borrow would pin the whole daemon behind one
 /// lifetime. `Shared` lets both coexist: `&T` converts into
 /// `Shared::Borrowed` and `Arc<T>` into a `'static` `Shared::Counted`,
-/// so [`QuerySession`] takes either without a signature fork.
-pub enum Shared<'a, T> {
+/// so [`QuerySession`] takes either without a signature fork. A session's
+/// collection is a `Shared<dyn Corpus>`: a reference or `Arc` to any
+/// [`Corpus`] implementation converts into it.
+pub enum Shared<'a, T: ?Sized> {
     /// Borrowed from the caller for the session's lifetime.
     Borrowed(&'a T),
     /// Reference-counted shared ownership (long-lived server sessions).
     Counted(Arc<T>),
 }
 
-impl<T> Deref for Shared<'_, T> {
+impl<T: ?Sized> Deref for Shared<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
@@ -72,7 +74,19 @@ impl<T> From<Arc<T>> for Shared<'static, T> {
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for Shared<'_, T> {
+impl<'a, C: Corpus + 'a> From<&'a C> for Shared<'a, dyn Corpus + 'a> {
+    fn from(corpus: &'a C) -> Self {
+        Self::Borrowed(corpus)
+    }
+}
+
+impl<C: Corpus + 'static> From<Arc<C>> for Shared<'static, dyn Corpus> {
+    fn from(corpus: Arc<C>) -> Self {
+        Self::Counted(corpus)
+    }
+}
+
+impl<T: fmt::Debug + ?Sized> fmt::Debug for Shared<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         (**self).fmt(f)
     }
@@ -111,7 +125,7 @@ impl<T: fmt::Debug> fmt::Debug for Shared<'_, T> {
 /// ```
 #[derive(Debug)]
 pub struct QueryBuilder<'a> {
-    db: Shared<'a, RetrievalDatabase>,
+    db: Shared<'a, dyn Corpus + 'a>,
     config: Option<Shared<'a, RetrievalConfig>>,
     target: Option<usize>,
     pool: Option<Vec<usize>>,
@@ -211,10 +225,11 @@ impl<'a> QueryBuilder<'a> {
             .config
             .unwrap_or_else(|| Shared::Counted(Arc::new(RetrievalConfig::default())));
         if let Some(target) = self.target {
-            if target >= db.category_count() {
+            let available = category_count(&db.labels());
+            if target >= available {
                 return Err(CoreError::UnknownCategory {
                     category: target,
-                    available: db.category_count(),
+                    available,
                 });
             }
         }
@@ -236,10 +251,11 @@ impl<'a> QueryBuilder<'a> {
         let positives = match (self.positives, self.target) {
             (Some(explicit), _) => explicit,
             (None, Some(target)) => {
+                let labels = db.labels();
                 let picked: Vec<usize> = pool
                     .iter()
                     .copied()
-                    .filter(|&i| db.labels()[i] == target)
+                    .filter(|&i| labels[i] == target)
                     .take(config.initial_positives)
                     .collect();
                 if picked.is_empty() {
@@ -252,7 +268,7 @@ impl<'a> QueryBuilder<'a> {
         let negatives = match (self.negatives, self.target) {
             (Some(explicit), _) => explicit,
             (None, Some(target)) => {
-                pick_diverse_negatives(&db, &pool, target, config.initial_negatives)
+                pick_diverse_negatives(&db.labels(), &pool, target, config.initial_negatives)
             }
             (None, None) => Vec::new(),
         };
@@ -283,7 +299,7 @@ impl<'a> QueryBuilder<'a> {
 /// One retrieval query against a preprocessed database.
 #[derive(Debug)]
 pub struct QuerySession<'a> {
-    db: Shared<'a, RetrievalDatabase>,
+    db: Shared<'a, dyn Corpus + 'a>,
     config: Shared<'a, RetrievalConfig>,
     /// The category being searched for, when known. Sessions opened from
     /// explicit example marks (the server path) have none — a human
@@ -320,7 +336,7 @@ struct WarmState {
 
 impl<'a> QuerySession<'a> {
     /// Starts configuring a session — see [`QueryBuilder`] for the knobs.
-    pub fn builder(db: impl Into<Shared<'a, RetrievalDatabase>>) -> QueryBuilder<'a> {
+    pub fn builder(db: impl Into<Shared<'a, dyn Corpus + 'a>>) -> QueryBuilder<'a> {
         QueryBuilder {
             db: db.into(),
             config: None,
@@ -343,7 +359,7 @@ impl<'a> QuerySession<'a> {
         note = "use `QuerySession::builder(db).config(c).target(t).pool(p).test(s).build()`"
     )]
     pub fn new(
-        db: impl Into<Shared<'a, RetrievalDatabase>>,
+        db: impl Into<Shared<'a, dyn Corpus + 'a>>,
         config: impl Into<Shared<'a, RetrievalConfig>>,
         target: usize,
         pool: Vec<usize>,
@@ -366,7 +382,7 @@ impl<'a> QuerySession<'a> {
         note = "use `QuerySession::builder(db).config(c).positives(p).negatives(n).pool(pool).build()`"
     )]
     pub fn from_examples(
-        db: impl Into<Shared<'a, RetrievalDatabase>>,
+        db: impl Into<Shared<'a, dyn Corpus + 'a>>,
         config: impl Into<Shared<'a, RetrievalConfig>>,
         positives: Vec<usize>,
         negatives: Vec<usize>,
@@ -510,13 +526,13 @@ impl<'a> QuerySession<'a> {
         let _span = milr_obs::span!("query.train_round");
         let mut dataset = MilDataset::new();
         for &i in &self.positives {
-            dataset.push(self.db.bag(i)?.clone(), BagLabel::Positive)?;
+            dataset.push(self.db.bag(i)?.into_owned(), BagLabel::Positive)?;
         }
         for bag in &self.external_positives {
             dataset.push(bag.clone(), BagLabel::Positive)?;
         }
         for &i in &self.negatives {
-            dataset.push(self.db.bag(i)?.clone(), BagLabel::Negative)?;
+            dataset.push(self.db.bag(i)?.into_owned(), BagLabel::Negative)?;
         }
         for bag in &self.external_negatives {
             dataset.push(bag.clone(), BagLabel::Negative)?;
@@ -721,12 +737,13 @@ impl<'a> QuerySession<'a> {
     pub fn add_false_positives(&mut self, count: usize) -> Result<usize, CoreError> {
         let target = self.target.ok_or(CoreError::NoTargetCategory)?;
         let ranking = self.rank(&self.request(RankScope::Pool))?;
+        let labels = self.db.labels();
         let mut added = 0;
         for (index, _) in ranking {
             if added == count {
                 break;
             }
-            if self.db.labels()[index] != target
+            if labels[index] != target
                 && !self.negatives.contains(&index)
                 && !self.positives.contains(&index)
             {
@@ -750,12 +767,13 @@ impl<'a> QuerySession<'a> {
     pub fn add_false_negatives(&mut self, count: usize) -> Result<usize, CoreError> {
         let target = self.target.ok_or(CoreError::NoTargetCategory)?;
         let ranking = self.rank(&self.request(RankScope::Pool))?;
+        let labels = self.db.labels();
         let mut added = 0;
         for &(index, _) in ranking.iter().rev() {
             if added == count {
                 break;
             }
-            if self.db.labels()[index] == target
+            if labels[index] == target
                 && !self.positives.contains(&index)
                 && !self.negatives.contains(&index)
             {
@@ -828,17 +846,22 @@ pub fn query_with_examples(
     Ok((result.concept, ranking))
 }
 
+/// Number of distinct categories among `labels` (max label + 1).
+fn category_count(labels: &[usize]) -> usize {
+    labels.iter().max().map_or(0, |&max| max + 1)
+}
+
 /// Picks `count` non-target pool images, cycling across the other
 /// categories so the negatives are diverse.
 fn pick_diverse_negatives(
-    db: &RetrievalDatabase,
+    labels: &[usize],
     pool: &[usize],
     target: usize,
     count: usize,
 ) -> Vec<usize> {
-    let mut per_category: Vec<Vec<usize>> = vec![Vec::new(); db.category_count()];
+    let mut per_category: Vec<Vec<usize>> = vec![Vec::new(); category_count(labels)];
     for &i in pool {
-        let label = db.labels()[i];
+        let label = labels[i];
         if label != target {
             per_category[label].push(i);
         }

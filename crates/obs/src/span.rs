@@ -9,6 +9,14 @@
 //! tracing is always on because an unread span costs ~two `Instant`
 //! reads and four stores.
 //!
+//! A ring outlives its thread: when a thread exits, its ring goes onto a
+//! free list and the next thread to record a span adopts it instead of
+//! allocating a new one. Memory is therefore bounded by the peak number
+//! of concurrently recording threads, not by how many threads ever ran —
+//! which matters because the scoped-thread pool spawns fresh threads on
+//! every parallel call. An adopted ring keeps its previous owner's spans
+//! until they are overwritten, so readers still see them.
+//!
 //! Readers ([`recent`]) walk every thread's ring through a seqlock: each
 //! slot carries a sequence number that is odd while a write is in flight
 //! and bumped when it lands, so a reader that races a wrapping writer
@@ -99,7 +107,10 @@ impl SpanRing {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     pub name: &'static str,
-    /// Registration-order id of the recording thread (not the OS tid).
+    /// Registration-order id of the ring that recorded the span (not
+    /// the OS tid). Threads running at the same time never share an id;
+    /// a thread that adopts an exited thread's ring records under that
+    /// ring's id.
     pub thread: u64,
     /// Start offset from the process trace epoch, microseconds.
     pub start_us: u64,
@@ -107,6 +118,8 @@ pub struct SpanRecord {
 }
 
 static RINGS: Mutex<Vec<Arc<SpanRing>>> = Mutex::new(Vec::new());
+/// Rings whose owning thread has exited, waiting for a new owner.
+static FREE: Mutex<Vec<Arc<SpanRing>>> = Mutex::new(Vec::new());
 static NAMES: RwLock<Vec<&'static str>> = RwLock::new(Vec::new());
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
 
@@ -115,12 +128,42 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-thread_local! {
-    static RING: Arc<SpanRing> = {
+/// A thread's claim on one ring: taken from the free list (or freshly
+/// registered) at the thread's first span, handed back when the thread
+/// exits. The free-list mutex orders the old owner's last writes before
+/// the new owner's first.
+struct OwnedRing(Arc<SpanRing>);
+
+impl OwnedRing {
+    fn acquire() -> Self {
+        if let Some(ring) = FREE.lock().expect("span free-list mutex").pop() {
+            return OwnedRing(ring);
+        }
         let ring = Arc::new(SpanRing::new(NEXT_THREAD.fetch_add(1, Ordering::Relaxed)));
-        RINGS.lock().unwrap().push(Arc::clone(&ring));
-        ring
-    };
+        RINGS
+            .lock()
+            .expect("span ring-list mutex")
+            .push(Arc::clone(&ring));
+        OwnedRing(ring)
+    }
+}
+
+impl Drop for OwnedRing {
+    fn drop(&mut self) {
+        if let Ok(mut free) = FREE.lock() {
+            free.push(Arc::clone(&self.0));
+        }
+    }
+}
+
+thread_local! {
+    static RING: OwnedRing = OwnedRing::acquire();
+}
+
+/// How many span rings exist — bounded by the peak number of threads
+/// recording spans at the same time.
+pub fn ring_count() -> usize {
+    RINGS.lock().expect("span ring-list mutex").len()
 }
 
 /// Intern a span name, returning its stable id. Idempotent; the
@@ -181,7 +224,7 @@ impl Drop for SpanGuard {
         let dur_ns = self.start.elapsed().as_nanos() as u64;
         // try_with: a span dropped during thread teardown (after TLS
         // destruction) is silently lost rather than panicking.
-        let _ = RING.try_with(|r| r.push(self.name, self.start_us, dur_ns));
+        let _ = RING.try_with(|r| r.0.push(self.name, self.start_us, dur_ns));
     }
 }
 

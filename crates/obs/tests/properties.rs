@@ -106,11 +106,21 @@ fn concurrent_recording_from_eight_threads_loses_nothing() {
     assert_eq!(bucket_total, THREADS * PER_THREAD);
 }
 
+/// Serialises the span-ring tests of this binary: exited threads hand
+/// their rings on to the next recording thread, so a concurrently
+/// running span test could overwrite the spans another one counts.
+fn span_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Overfilling one thread's span ring keeps exactly the newest
 /// `RING_CAPACITY` spans: every early span is overwritten, no late span
 /// is lost, and the reader sees no torn records.
 #[test]
 fn span_ring_wraparound_keeps_newest_spans() {
+    let _serial = span_test_lock();
     const EXTRA: usize = 10;
     std::thread::spawn(|| {
         for _ in 0..EXTRA {
@@ -135,6 +145,7 @@ fn span_ring_wraparound_keeps_newest_spans() {
 /// `recent(limit)` truncates to the newest spans in start order.
 #[test]
 fn recent_respects_limit_and_order() {
+    let _serial = span_test_lock();
     std::thread::spawn(|| {
         for _ in 0..50 {
             let _s = milr_obs::span!("limittest.span");
@@ -145,4 +156,32 @@ fn recent_respects_limit_and_order() {
     let spans = milr_obs::recent_spans(5);
     assert!(spans.len() <= 5);
     assert!(spans.windows(2).all(|w| w[0].start_us <= w[1].start_us));
+}
+
+/// Short-lived threads recycle span rings instead of leaking one each:
+/// 200 sequential threads (peak concurrency one) leave the ring count at
+/// most one above where it started, and every span they recorded is
+/// still readable from the recycled ring.
+#[test]
+fn exited_threads_hand_their_span_rings_on() {
+    let _serial = span_test_lock();
+    const THREADS: usize = 200;
+    let before = milr_obs::span::ring_count();
+    for _ in 0..THREADS {
+        std::thread::spawn(|| {
+            let _s = milr_obs::span!("recycletest.span");
+        })
+        .join()
+        .unwrap();
+    }
+    let after = milr_obs::span::ring_count();
+    assert!(
+        after <= before + 1,
+        "{THREADS} sequential threads grew the rings from {before} to {after}"
+    );
+    let seen = milr_obs::recent_spans(usize::MAX)
+        .iter()
+        .filter(|s| s.name == "recycletest.span")
+        .count();
+    assert_eq!(seen, THREADS, "spans of exited threads must stay readable");
 }

@@ -10,12 +10,18 @@
 //! the output is identical for any thread count, including 1.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Resolves a user-facing thread knob (`0` = available parallelism) to a
 /// concrete worker count, clamped to the number of jobs.
+///
+/// The available parallelism is queried once per process: on Linux the
+/// query reads cgroup files (tens of microseconds), which a per-request
+/// ranking must not pay on every call.
 pub fn resolve_threads(threads: usize, jobs: usize) -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     } else {
         threads
     };

@@ -1,31 +1,29 @@
-//! Cross-request rank batching: a flat-combining dispatcher.
+//! Cross-request rank combining: a flat-combining dispatcher.
 //!
-//! Concurrent `/rank` requests against the same snapshot epoch coalesce
-//! into one [`RetrievalDatabase::rank_batch`] traversal. The shape is
-//! flat combining rather than a timed window, so a solo request pays
-//! **zero** added latency:
+//! Concurrent `/rank` requests are ranked by whichever thread first
+//! takes the `executing` lock, so a solo request pays **zero** added
+//! latency and concurrent ones never contend inside the engine:
 //!
 //! * every arrival enqueues its query, then takes (or waits for) the
 //!   `executing` lock;
 //! * the first thread through the lock drains *everything* queued behind
 //!   it — including queries that piled up while a previous combiner was
-//!   scanning — groups them by `(epoch generation, aggregator)` (a
-//!   reload mid-batch must not mix databases, and a min-distance page
-//!   must never be scored by a neighbour's logsumexp fold), and runs
-//!   one `rank_batch` per group;
+//!   ranking — and runs one [`ShardedDatabase::rank_live`] per drained
+//!   query, each on the store of the epoch it arrived against and under
+//!   its own request (aggregator, page size);
 //! * threads that find their slot already filled when they acquire the
 //!   lock were combined by someone else and return immediately.
 //!
-//! Batching is a pure traversal amortisation: each query keeps its own
-//! top-k bound inside `rank_batch`, so every page is bit-identical to an
-//! unbatched `rank` call by construction (proven again by proptest and
-//! the over-the-wire e2e suite).
+//! Every query is ranked on its own, so each page is bit-identical to a
+//! direct `rank_live` call by construction. Measured drains hold ~1
+//! query on every served workload, so a multi-query store traversal
+//! would buy nothing; one drain is recorded as one batch.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-use milr_core::{BatchQuery, CoreError, RankRequest, Ranking, RetrievalDatabase};
-use milr_mil::BagAggregator;
+use milr_core::{CoreError, RankRequest, Ranking};
+use milr_mil::Concept;
+use milr_store::ShardedDatabase;
 
 use crate::metrics::Metrics;
 
@@ -35,14 +33,11 @@ struct Slot {
     filled: Condvar,
 }
 
-/// One queued rank query: what to rank, where, how to fold bags, and
-/// who is waiting.
+/// One queued rank query: what to rank, where, how, and who is waiting.
 struct PendingRank {
-    db: Arc<RetrievalDatabase>,
-    generation: u64,
-    aggregator: BagAggregator,
-    query: BatchQuery,
-    threads: usize,
+    store: Arc<ShardedDatabase>,
+    concept: Arc<Concept>,
+    request: RankRequest,
     slot: Arc<Slot>,
 }
 
@@ -59,22 +54,18 @@ impl RankBatcher {
         Self::default()
     }
 
-    /// Ranks `query` over `db` (scope: all images) under `aggregator`,
-    /// combining with any concurrent callers on the same epoch
-    /// `generation` *and* the same aggregator — two requests that fold
-    /// bags differently must never share a `rank_batch` traversal.
-    /// Blocks until the result is available; bit-identical to
-    /// `db.rank(&query.concept, &RankRequest::all().top(k).aggregator(a))`.
+    /// Ranks `concept` over `store` under `request`, in the store's live
+    /// index space, combining with any concurrent callers. Blocks until
+    /// the result is available; bit-identical to
+    /// `store.rank_live(&concept, &request)`.
     ///
     /// # Errors
     /// Whatever the underlying ranking call reports.
     pub fn rank(
         &self,
-        db: Arc<RetrievalDatabase>,
-        generation: u64,
-        aggregator: BagAggregator,
-        query: BatchQuery,
-        threads: usize,
+        store: Arc<ShardedDatabase>,
+        concept: Arc<Concept>,
+        request: RankRequest,
         metrics: &Metrics,
     ) -> Result<Ranking, CoreError> {
         let slot = Arc::new(Slot {
@@ -85,11 +76,9 @@ impl RankBatcher {
             .lock()
             .expect("batch pending mutex")
             .push(PendingRank {
-                db,
-                generation,
-                aggregator,
-                query,
-                threads,
+                store,
+                concept,
+                request,
                 slot: Arc::clone(&slot),
             });
         {
@@ -122,57 +111,17 @@ impl RankBatcher {
     }
 }
 
-/// Runs the drained queries: one `rank_batch` per `(epoch generation,
-/// aggregator)` pair (ascending generation, then aggregator declaration
-/// order, for determinism), then fills every slot.
+/// Ranks the drained queries one by one, in arrival order, filling each
+/// slot as its ranking lands.
 fn execute(drained: Vec<PendingRank>, metrics: &Metrics) {
     if drained.is_empty() {
         return;
     }
-    let mut groups: HashMap<(u64, BagAggregator), Vec<PendingRank>> = HashMap::new();
+    metrics.batch_formed_total.inc();
+    metrics.batch_size.record(drained.len() as u64);
     for item in drained {
-        groups
-            .entry((item.generation, item.aggregator))
-            .or_default()
-            .push(item);
-    }
-    let agg_order = |a: BagAggregator| {
-        BagAggregator::ALL
-            .iter()
-            .position(|&x| x == a)
-            .expect("every aggregator is listed in ALL")
-    };
-    let mut keys: Vec<(u64, BagAggregator)> = groups.keys().copied().collect();
-    keys.sort_unstable_by_key(|&(generation, aggregator)| (generation, agg_order(aggregator)));
-    for key in keys {
-        let group = groups.remove(&key).expect("grouped");
-        let (_, aggregator) = key;
-        metrics.batch_formed_total.inc();
-        metrics.batch_size.record(group.len() as u64);
-        let db = Arc::clone(&group[0].db);
-        let threads = group[0].threads;
-        let queries: Vec<BatchQuery> = group.iter().map(|item| item.query.clone()).collect();
-        let request = RankRequest::all().threads(threads).aggregator(aggregator);
-        match db.rank_batch(&queries, &request) {
-            Ok(rankings) => {
-                for (item, ranking) in group.into_iter().zip(rankings) {
-                    fill(&item.slot, Ok(ranking));
-                }
-            }
-            // A batch-level failure (cannot happen for the daemon's
-            // all-images scope, but the API allows it) falls back to
-            // per-query ranking so every waiter gets its own error.
-            Err(_) => {
-                for item in group {
-                    let mut single = RankRequest::all()
-                        .threads(item.threads)
-                        .aggregator(item.aggregator);
-                    single.top_k = item.query.top_k;
-                    let outcome = item.db.rank(&item.query.concept, &single);
-                    fill(&item.slot, outcome);
-                }
-            }
-        }
+        let outcome = item.store.rank_live(&item.concept, &item.request);
+        fill(&item.slot, outcome);
     }
 }
 
@@ -184,9 +133,10 @@ fn fill(slot: &Slot, outcome: Result<Ranking, CoreError>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use milr_mil::{Bag, Concept};
+    use milr_core::RetrievalDatabase;
+    use milr_mil::{Bag, BagAggregator};
 
-    fn test_db() -> Arc<RetrievalDatabase> {
+    fn test_store() -> Arc<ShardedDatabase> {
         let bags: Vec<Bag> = (0..12)
             .map(|i| {
                 Bag::new(vec![
@@ -197,35 +147,42 @@ mod tests {
             })
             .collect();
         let labels = (0..12).map(|i| i % 3).collect();
-        Arc::new(RetrievalDatabase::from_bags(bags, labels).unwrap())
+        let db = RetrievalDatabase::from_bags(bags, labels).unwrap();
+        Arc::new(ShardedDatabase::in_memory(&db).unwrap())
     }
 
-    fn query_on(db: &RetrievalDatabase, point: Vec<f64>, k: usize) -> BatchQuery {
-        let _ = db;
-        BatchQuery {
-            concept: Arc::new(Concept::new(point, vec![1.0, 1.0])),
-            top_k: Some(k),
-        }
+    fn concept(point: Vec<f64>) -> Arc<Concept> {
+        Arc::new(Concept::new(point, vec![1.0, 1.0]))
+    }
+
+    fn park(
+        batcher: &RankBatcher,
+        store: &Arc<ShardedDatabase>,
+        request: RankRequest,
+    ) -> Arc<Slot> {
+        let slot = Arc::new(Slot {
+            result: Mutex::new(None),
+            filled: Condvar::new(),
+        });
+        batcher.pending.lock().unwrap().push(PendingRank {
+            store: Arc::clone(store),
+            concept: concept(vec![2.0, 3.0]),
+            request,
+            slot: Arc::clone(&slot),
+        });
+        slot
     }
 
     #[test]
     fn solo_rank_is_a_singleton_batch_with_exact_counters() {
-        let db = test_db();
+        let store = test_store();
         let batcher = RankBatcher::new();
         let metrics = Metrics::default();
-        let query = query_on(&db, vec![2.0, 3.0], 4);
-        let expected = db
-            .rank(&query.concept, &RankRequest::all().top(4).threads(1))
-            .unwrap();
+        let request = RankRequest::all().top(4).threads(1);
+        let c = concept(vec![2.0, 3.0]);
+        let expected = store.rank_live(&c, &request).unwrap();
         let got = batcher
-            .rank(
-                Arc::clone(&db),
-                7,
-                BagAggregator::MinDistance,
-                query,
-                1,
-                &metrics,
-            )
+            .rank(Arc::clone(&store), c, request, &metrics)
             .unwrap();
         assert_eq!(got, expected);
         assert_eq!(metrics.batch_formed_total.get(), 1);
@@ -236,35 +193,23 @@ mod tests {
 
     #[test]
     fn concurrent_ranks_match_sequential_and_batch_counters_balance() {
-        let db = test_db();
+        let store = test_store();
         let batcher = Arc::new(RankBatcher::new());
         let metrics = Arc::new(Metrics::default());
         let clients = 8usize;
         let barrier = Arc::new(std::sync::Barrier::new(clients));
         let handles: Vec<_> = (0..clients)
             .map(|c| {
-                let db = Arc::clone(&db);
+                let store = Arc::clone(&store);
                 let batcher = Arc::clone(&batcher);
                 let metrics = Arc::clone(&metrics);
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    let query = BatchQuery {
-                        concept: Arc::new(Concept::new(
-                            vec![c as f64, (c * 2) as f64],
-                            vec![1.0, 1.0],
-                        )),
-                        top_k: Some(1 + c % 4),
-                    };
-                    let expected = db
-                        .rank(
-                            &query.concept,
-                            &RankRequest::all().top(1 + c % 4).threads(1),
-                        )
-                        .unwrap();
-                    let got = batcher
-                        .rank(db, 3, BagAggregator::MinDistance, query, 1, &metrics)
-                        .unwrap();
+                    let point = concept(vec![c as f64, (c * 2) as f64]);
+                    let request = RankRequest::all().top(1 + c % 4).threads(1);
+                    let expected = store.rank_live(&point, &request).unwrap();
+                    let got = batcher.rank(store, point, request, &metrics).unwrap();
                     assert_eq!(got, expected, "client {c}");
                 })
             })
@@ -273,138 +218,53 @@ mod tests {
             handle.join().unwrap();
         }
         // However the threads interleaved, every query was ranked in
-        // exactly one batch: the recorded sizes sum to the client count.
+        // exactly one drain: the recorded sizes sum to the client count.
         let sizes = metrics.batch_size.snapshot();
         assert_eq!(sizes.count(), metrics.batch_formed_total.get());
+        assert_eq!(sizes.sum(), clients as u64);
         assert!(metrics.batch_formed_total.get() >= 1);
         assert!(metrics.batch_formed_total.get() <= clients as u64);
     }
 
     #[test]
-    fn distinct_generations_never_share_a_batch() {
-        let db_a = test_db();
-        let db_b = test_db();
+    fn one_drain_ranks_each_query_on_its_own_store_and_request() {
+        // Queries drained together keep their own epoch (store) and fold:
+        // a min-distance page must never be scored by a neighbour's
+        // logsumexp, and a reload mid-drain must not mix stores.
+        let store_a = test_store();
+        let store_b = test_store();
         let batcher = RankBatcher::new();
         let metrics = Metrics::default();
-        // Enqueue two pending entries by hand (different generations),
-        // then combine via a third call: the third call drains all
-        // three, forming one batch per generation.
-        for (db, generation) in [(Arc::clone(&db_a), 1u64), (Arc::clone(&db_b), 2)] {
-            let query = query_on(&db, vec![1.0, 1.0], 2);
-            let slot = Arc::new(Slot {
-                result: Mutex::new(None),
-                filled: Condvar::new(),
-            });
-            batcher.pending.lock().unwrap().push(PendingRank {
-                db,
-                generation,
-                aggregator: BagAggregator::MinDistance,
-                query,
-                threads: 1,
-                slot,
-            });
-        }
-        let query = query_on(&db_a, vec![0.0, 5.0], 3);
-        let got = batcher
-            .rank(
-                Arc::clone(&db_a),
-                1,
-                BagAggregator::MinDistance,
-                query.clone(),
-                1,
-                &metrics,
-            )
-            .unwrap();
-        let expected = db_a
-            .rank(&query.concept, &RankRequest::all().top(3).threads(1))
-            .unwrap();
-        assert_eq!(got, expected);
-        assert_eq!(
-            metrics.batch_formed_total.get(),
-            2,
-            "generation 1 (two queries) and generation 2 (one query)"
-        );
-        let sizes = metrics.batch_size.snapshot();
-        assert_eq!(sizes.count(), 2);
-        assert_eq!(sizes.max(), 2);
-    }
-
-    #[test]
-    fn distinct_aggregators_never_share_a_batch() {
-        // The cross-contamination guard: a min-distance query and a
-        // logsumexp query on the *same* generation must form separate
-        // batches, and each must come back exactly as its own direct
-        // rank call would have scored it.
-        let db = test_db();
-        let batcher = RankBatcher::new();
-        let metrics = Metrics::default();
-        let concept = Arc::new(Concept::new(vec![2.0, 3.0], vec![1.0, 1.0]));
         let mut parked = Vec::new();
-        for aggregator in [BagAggregator::LogSumExp, BagAggregator::NoisyOr] {
-            let query = BatchQuery {
-                concept: Arc::clone(&concept),
-                top_k: Some(5),
-            };
-            let slot = Arc::new(Slot {
-                result: Mutex::new(None),
-                filled: Condvar::new(),
-            });
-            batcher.pending.lock().unwrap().push(PendingRank {
-                db: Arc::clone(&db),
-                generation: 9,
-                aggregator,
-                query,
-                threads: 1,
-                slot: Arc::clone(&slot),
-            });
-            parked.push((aggregator, slot));
+        for (store, aggregator) in [
+            (&store_a, BagAggregator::LogSumExp),
+            (&store_b, BagAggregator::NoisyOr),
+        ] {
+            let request = RankRequest::all().top(5).threads(1).aggregator(aggregator);
+            parked.push((park(&batcher, store, request.clone()), store, request));
         }
-        let min_query = BatchQuery {
-            concept: Arc::clone(&concept),
-            top_k: Some(5),
-        };
-        let got = batcher
+        let request = RankRequest::all().top(5).threads(1);
+        let c = concept(vec![2.0, 3.0]);
+        let min_page = batcher
             .rank(
-                Arc::clone(&db),
-                9,
-                BagAggregator::MinDistance,
-                min_query,
-                1,
+                Arc::clone(&store_a),
+                Arc::clone(&c),
+                request.clone(),
                 &metrics,
             )
             .unwrap();
-        let expected = db
-            .rank(&concept, &RankRequest::all().top(5).threads(1))
-            .unwrap();
-        assert_eq!(got, expected, "the min page must stay a min page");
-        assert_eq!(
-            metrics.batch_formed_total.get(),
-            3,
-            "one batch per aggregator, even on one generation"
-        );
-        // And each parked non-min query came back scored by its own
-        // fold, bit-identical to the direct aggregated rank call.
-        for (aggregator, slot) in parked {
-            let direct = db
-                .rank(
-                    &concept,
-                    &RankRequest::all().top(5).threads(1).aggregator(aggregator),
-                )
-                .unwrap();
-            let combined = slot
-                .result
-                .lock()
-                .unwrap()
-                .take()
-                .expect("the combiner filled every drained slot")
-                .unwrap();
-            assert_eq!(combined, direct, "{aggregator} page");
+        assert_eq!(min_page, store_a.rank_live(&c, &request).unwrap());
+        assert_eq!(metrics.batch_formed_total.get(), 1, "one drain");
+        assert_eq!(metrics.batch_size.snapshot().max(), 3);
+        for (slot, store, request) in parked {
+            let combined = slot.result.lock().unwrap().take().unwrap().unwrap();
+            assert_eq!(combined, store.rank_live(&c, &request).unwrap());
             assert_ne!(
                 combined
                     .iter()
                     .map(|&(_, d)| d.to_bits())
                     .collect::<Vec<_>>(),
-                expected
+                min_page
                     .iter()
                     .map(|&(_, d)| d.to_bits())
                     .collect::<Vec<_>>(),

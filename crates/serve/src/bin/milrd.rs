@@ -152,13 +152,17 @@ fn run(args: &[String]) -> Result<(), String> {
         None => milr_store::load_snapshot(&snapshot).map_err(|e| e.to_string())?,
     };
     options.snapshot_path = Some(snapshot.clone().into());
+    let store = &loaded.store;
     let (images, categories, dim) = (
-        loaded.database.len(),
-        loaded.database.category_count(),
-        loaded.database.feature_dim(),
+        store.live_len(),
+        store.category_count(),
+        store.feature_dim(),
     );
-    let (generation, shards, backend_id) =
-        (loaded.generation, loaded.shards, loaded.backend.id.clone());
+    let (generation, shards, backend_id) = (
+        store.generation(),
+        store.shard_count(),
+        store.backend().id.clone(),
+    );
 
     let server = Server::start_with_snapshot(loaded, options)?;
     println!(

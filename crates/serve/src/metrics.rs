@@ -70,14 +70,6 @@ pub fn rank_counters_json() -> Json {
             "index_fallbacks_total".into(),
             get("milr_rank_index_fallbacks_total"),
         ),
-        (
-            "batch_dispatch_total".into(),
-            get("milr_rank_batch_dispatch_total"),
-        ),
-        (
-            "batch_queries_total".into(),
-            get("milr_rank_batch_queries_total"),
-        ),
     ])
 }
 

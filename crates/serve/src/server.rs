@@ -22,11 +22,16 @@
 //!   a self-connection, workers drain the queue and exit.
 //!
 //! All request state lives in the private `Daemon` struct: the current
-//! snapshot **epoch** (database + generation, swapped atomically by
+//! snapshot **epoch** (opened store + generation, swapped atomically by
 //! `POST /snapshot/reload` or the snapshot watcher — in-flight requests
 //! and live sessions keep serving the epoch they pinned via `Arc`), the
 //! shared config, the concept cache (keyed by generation), the session
 //! store and the metrics registry.
+//!
+//! Every ranking — `GET /rank` pages, region queries, session pools —
+//! runs on the epoch's opened [`ShardedDatabase`]: a sharded snapshot as
+//! opened, a monolithic one as a one-shard in-memory store. Clients
+//! address the store's live (tombstone-compressed) index space.
 
 use std::collections::VecDeque;
 use std::io::Read;
@@ -39,11 +44,11 @@ use std::time::{Duration, Instant};
 
 use milr_baseline::feature_backend;
 use milr_core::{
-    BackendTag, BatchQuery, CoreError, FeatureBackend, QuerySession, RankRequest, RetrievalConfig,
-    RetrievalDatabase,
+    CoreError, FeatureBackend, QuerySession, RankRequest, RetrievalConfig, RetrievalDatabase,
 };
 use milr_imgproc::{pnm, Rect};
 use milr_mil::{Bag, BagAggregator, WeightPolicy};
+use milr_store::ShardedDatabase;
 
 use crate::base64;
 use crate::batch::RankBatcher;
@@ -189,29 +194,27 @@ pub fn parse_policy(spec: &str) -> Result<WeightPolicy, String> {
 /// One immutable snapshot generation. Requests clone the `Arc` once up
 /// front and serve entirely from that epoch; a concurrent reload swaps
 /// the daemon's pointer without disturbing them, and live sessions pin
-/// their epoch's database for as long as they exist.
+/// their epoch's store for as long as they exist.
 struct Epoch {
-    db: Arc<RetrievalDatabase>,
-    /// Every database index — the ranking pool of new sessions.
+    /// The opened store every ranking runs on. Its feature backend tag
+    /// also featurises region and image uploads, so every query bag
+    /// lives in the snapshot's feature space.
+    store: Arc<ShardedDatabase>,
+    /// Every live index — the ranking pool of new sessions.
     all_indices: Vec<usize>,
+    /// Category count of the live bags (reported by `/healthz`).
+    categories: usize,
     /// Monotonic across reloads (concept-cache key component).
     generation: u64,
-    /// Shards behind this epoch's snapshot (1 for monolithic files).
-    shards: usize,
-    /// Feature backend the snapshot was preprocessed with; region and
-    /// image uploads are featurised through the same backend so every
-    /// query bag lives in the snapshot's feature space.
-    backend: BackendTag,
 }
 
 impl Epoch {
-    fn new(db: RetrievalDatabase, generation: u64, shards: usize, backend: BackendTag) -> Self {
+    fn new(store: ShardedDatabase, generation: u64) -> Self {
         Self {
-            all_indices: (0..db.len()).collect(),
-            db: Arc::new(db),
+            all_indices: (0..store.live_len()).collect(),
+            categories: store.category_count(),
+            store: Arc::new(store),
             generation,
-            shards,
-            backend,
         }
     }
 
@@ -220,12 +223,8 @@ impl Epoch {
     /// for a manifest naming a backend this build does not know —
     /// which `open`-time checks normally reject first.
     fn feature_backend(&self) -> Result<std::sync::Arc<dyn FeatureBackend>, String> {
-        feature_backend(&self.backend.id).ok_or_else(|| {
-            format!(
-                "snapshot names unknown feature backend {:?}",
-                self.backend.id
-            )
-        })
+        let id = &self.store.backend().id;
+        feature_backend(id).ok_or_else(|| format!("snapshot names unknown feature backend {id:?}"))
     }
 }
 
@@ -272,43 +271,37 @@ impl Daemon {
             .snapshot_path
             .as_ref()
             .ok_or("no snapshot path configured")?;
-        let snapshot = milr_store::load_snapshot(path).map_err(|e| {
-            self.metrics.snapshot_reload_failures_total.inc();
-            e.to_string()
-        })?;
-        if let Some(expected) = &self.options.backend {
-            if &snapshot.backend.id != expected {
+        let store = milr_store::load_snapshot(path)
+            .map_err(|e| {
                 self.metrics.snapshot_reload_failures_total.inc();
-                return Err(format!(
-                    "snapshot was preprocessed with feature backend {:?} but the daemon requires {expected:?}",
-                    snapshot.backend.id
-                ));
-            }
+                e.to_string()
+            })?
+            .store;
+        if let Err(msg) = require_backend(&store, self.options.backend.as_deref()) {
+            self.metrics.snapshot_reload_failures_total.inc();
+            return Err(msg);
         }
         let mut current = self.epoch.lock().expect("epoch mutex");
         // A reload must never change the feature space underneath live
         // concepts and sessions: same-backend snapshots only.
-        if snapshot.backend.id != current.backend.id {
+        let (fresh_backend, serving_backend) = (&store.backend().id, &current.store.backend().id);
+        if fresh_backend != serving_backend {
             let msg = format!(
-                "reload refused: snapshot backend {:?} differs from the serving backend {:?}",
-                snapshot.backend.id, current.backend.id
+                "reload refused: snapshot backend {fresh_backend:?} differs from the serving backend {serving_backend:?}"
             );
             drop(current);
             self.metrics.snapshot_reload_failures_total.inc();
             return Err(msg);
         }
-        let generation = snapshot.generation.max(current.generation + 1);
-        let fresh = Arc::new(Epoch::new(
-            snapshot.database,
-            generation,
-            snapshot.shards,
-            snapshot.backend,
-        ));
+        let generation = store.generation().max(current.generation + 1);
+        let fresh = Arc::new(Epoch::new(store, generation));
         *current = Arc::clone(&fresh);
         drop(current);
         self.metrics.snapshot_reloads_total.inc();
         self.metrics.snapshot_generation.set(generation as f64);
-        self.metrics.snapshot_shards.set(fresh.shards as f64);
+        self.metrics
+            .snapshot_shards
+            .set(fresh.store.shard_count() as f64);
         Ok(fresh)
     }
 }
@@ -321,39 +314,36 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
 }
 
+/// Refuses a store whose recorded feature backend is not the one the
+/// daemon requires (no requirement accepts any backend).
+fn require_backend(store: &ShardedDatabase, required: Option<&str>) -> Result<(), String> {
+    match required {
+        Some(expected) if store.backend().id != expected => Err(format!(
+            "snapshot was preprocessed with feature backend {:?} but the daemon requires {expected:?}",
+            store.backend().id
+        )),
+        _ => Ok(()),
+    }
+}
+
 impl Server {
     /// Binds, spawns the acceptor and worker threads, and returns
-    /// immediately.
+    /// immediately. The database is served as a one-shard in-memory
+    /// store at generation 0 with the default gray-block backend tag.
     ///
     /// # Errors
     /// A description of a bind failure or invalid configuration.
     pub fn start(db: RetrievalDatabase, options: ServeOptions) -> Result<Server, String> {
-        Self::start_with_generation(db, 0, 1, options)
+        let store = ShardedDatabase::in_memory(&db).map_err(|e| e.to_string())?;
+        drop(db);
+        Self::start_with_store(store, options)
     }
 
-    /// [`Self::start`] for a database loaded from a known snapshot
-    /// epoch: `generation` and `shards` seed `/healthz` and the
-    /// concept-cache keys (a sharded v3 manifest carries both; plain
-    /// databases start at generation 0). The backend defaults to the
-    /// gray-block tag; use [`Self::start_with_snapshot`] to carry the
-    /// manifest's recorded backend through.
-    ///
-    /// # Errors
-    /// A description of a bind failure or invalid configuration.
-    pub fn start_with_generation(
-        db: RetrievalDatabase,
-        generation: u64,
-        shards: usize,
-        options: ServeOptions,
-    ) -> Result<Server, String> {
-        Self::start_with_backend(db, generation, shards, BackendTag::default(), options)
-    }
-
-    /// [`Self::start`] for a loaded [`milr_store::Snapshot`]: carries
-    /// the snapshot's generation, shard count, and feature-backend tag
-    /// into the serving epoch, and — when `options.backend` names a
-    /// required backend — refuses a snapshot preprocessed with any
-    /// other one.
+    /// [`Self::start`] for a loaded [`milr_store::Snapshot`]: serves the
+    /// opened store itself, carrying its generation, shard count, and
+    /// feature-backend tag into the serving epoch, and — when
+    /// `options.backend` names a required backend — refuses a snapshot
+    /// preprocessed with any other one.
     ///
     /// # Errors
     /// A description of a bind failure, invalid configuration, or
@@ -362,30 +352,11 @@ impl Server {
         snapshot: milr_store::Snapshot,
         options: ServeOptions,
     ) -> Result<Server, String> {
-        if let Some(expected) = &options.backend {
-            if &snapshot.backend.id != expected {
-                return Err(format!(
-                    "snapshot was preprocessed with feature backend {:?} but the daemon requires {expected:?}",
-                    snapshot.backend.id
-                ));
-            }
-        }
-        Self::start_with_backend(
-            snapshot.database,
-            snapshot.generation,
-            snapshot.shards,
-            snapshot.backend,
-            options,
-        )
+        require_backend(&snapshot.store, options.backend.as_deref())?;
+        Self::start_with_store(snapshot.store, options)
     }
 
-    fn start_with_backend(
-        db: RetrievalDatabase,
-        generation: u64,
-        shards: usize,
-        backend: BackendTag,
-        options: ServeOptions,
-    ) -> Result<Server, String> {
+    fn start_with_store(store: ShardedDatabase, options: ServeOptions) -> Result<Server, String> {
         if options.workers == 0 {
             return Err("at least one worker thread is required".into());
         }
@@ -396,10 +367,11 @@ impl Server {
             .local_addr()
             .map_err(|e| format!("cannot read bound address: {e}"))?;
         let metrics = Metrics::default();
-        metrics.snapshot_generation.set(generation as f64);
-        metrics.snapshot_shards.set(shards as f64);
+        metrics.snapshot_generation.set(store.generation() as f64);
+        metrics.snapshot_shards.set(store.shard_count() as f64);
+        let generation = store.generation();
         let daemon = Arc::new(Daemon {
-            epoch: Mutex::new(Arc::new(Epoch::new(db, generation, shards, backend))),
+            epoch: Mutex::new(Arc::new(Epoch::new(store, generation))),
             config: Arc::new(options.retrieval.clone()),
             cache: Mutex::new(ConceptCache::new(options.cache_capacity)),
             sessions: SessionStore::new(options.session_ttl, options.session_capacity),
@@ -862,18 +834,18 @@ fn healthz(daemon: &Daemon) -> Json {
     let epoch = daemon.epoch();
     Json::Obj(vec![
         ("status".into(), Json::str("ok")),
-        ("images".into(), Json::num(epoch.db.len() as f64)),
-        (
-            "categories".into(),
-            Json::num(epoch.db.category_count() as f64),
-        ),
+        ("images".into(), Json::num(epoch.all_indices.len() as f64)),
+        ("categories".into(), Json::num(epoch.categories as f64)),
         (
             "feature_dim".into(),
-            Json::num(epoch.db.feature_dim() as f64),
+            Json::num(epoch.store.feature_dim() as f64),
         ),
         ("generation".into(), Json::num(epoch.generation as f64)),
-        ("shards".into(), Json::num(epoch.shards as f64)),
-        ("backend".into(), Json::str(epoch.backend.id.clone())),
+        ("shards".into(), Json::num(epoch.store.shard_count() as f64)),
+        (
+            "backend".into(),
+            Json::str(epoch.store.backend().id.clone()),
+        ),
         (
             "uptime_s".into(),
             Json::num(daemon.started.elapsed().as_secs_f64()),
@@ -916,8 +888,8 @@ fn handle_reload(daemon: &Daemon) -> (u16, Json) {
             200,
             Json::Obj(vec![
                 ("generation".into(), Json::num(epoch.generation as f64)),
-                ("shards".into(), Json::num(epoch.shards as f64)),
-                ("images".into(), Json::num(epoch.db.len() as f64)),
+                ("shards".into(), Json::num(epoch.store.shard_count() as f64)),
+                ("images".into(), Json::num(epoch.all_indices.len() as f64)),
             ]),
         ),
         Err(msg) => (500, http::error_body(format!("reload failed: {msg}"))),
@@ -1248,7 +1220,7 @@ fn handle_rank(daemon: &Daemon, req: &Request) -> (u16, Json) {
         return priority_shed_response(daemon);
     }
     let trained = concept_via_cache(daemon, key, || {
-        let mut session = QuerySession::builder(Arc::clone(&epoch.db))
+        let mut session = QuerySession::builder(Arc::clone(&epoch.store))
             .config(config)
             .positives(positives.clone())
             .negatives(negatives.clone())
@@ -1264,19 +1236,17 @@ fn handle_rank(daemon: &Daemon, req: &Request) -> (u16, Json) {
         Ok(pair) => pair,
         Err(err) => return core_error_response(&err),
     };
-    // Rank through the flat-combining batcher: concurrent /rank requests
-    // against the same epoch coalesce into one traversal, bit-identical
-    // to the direct `epoch.db.rank(...)` call by construction.
-    let query = BatchQuery {
-        concept: Arc::clone(&cached.concept),
-        top_k: Some(k),
-    };
+    // Rank through the flat-combining batcher: one store ranking per
+    // request, bit-identical to the direct `epoch.store.rank_live(...)`
+    // call by construction.
+    let request = RankRequest::all()
+        .top(k)
+        .threads(daemon.config.threads)
+        .aggregator(aggregator);
     let ranking = match daemon.batcher.rank(
-        Arc::clone(&epoch.db),
-        epoch.generation,
-        aggregator,
-        query,
-        daemon.config.threads,
+        Arc::clone(&epoch.store),
+        Arc::clone(&cached.concept),
+        request,
         &daemon.metrics,
     ) {
         Ok(ranking) => ranking,
@@ -1379,7 +1349,7 @@ fn handle_rank_region(daemon: &Daemon, req: &Request) -> (u16, Json) {
         Ok(bags) => negative_bags.extend(bags),
         Err(msg) => return (400, http::error_body(msg)),
     }
-    let mut session = match QuerySession::builder(Arc::clone(&epoch.db))
+    let mut session = match QuerySession::builder(Arc::clone(&epoch.store))
         .config(config)
         .positives(Vec::new())
         .negatives(negatives)
@@ -1410,7 +1380,10 @@ fn handle_rank_region(daemon: &Daemon, req: &Request) -> (u16, Json) {
             ("ranking".into(), ranking_json(&ranking)),
             ("nldd".into(), Json::Num(session.nldd())),
             ("aggregator".into(), Json::str(aggregator.label())),
-            ("backend".into(), Json::str(epoch.backend.id.clone())),
+            (
+                "backend".into(),
+                Json::str(epoch.store.backend().id.clone()),
+            ),
         ]),
     )
 }
@@ -1596,7 +1569,7 @@ fn handle_create_session(daemon: &Daemon, req: &Request) -> (u16, Json) {
             ),
         );
     }
-    let mut session = match QuerySession::builder(Arc::clone(&epoch.db))
+    let mut session = match QuerySession::builder(Arc::clone(&epoch.store))
         .config(config)
         .positives(positives)
         .negatives(negatives)

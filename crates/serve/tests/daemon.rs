@@ -1127,6 +1127,152 @@ fn region_rank_and_feedback_rounds_are_bit_identical_over_the_wire() {
 }
 
 #[test]
+fn tombstoned_snapshot_serves_the_live_index_space_over_the_wire() {
+    // A sharded snapshot with tombstones: clients address the live
+    // (tombstone-compressed) indices. `GET /rank`, `POST /rank` and a
+    // session feedback round must equal the compacted `to_database()`
+    // oracle ranked by `RetrievalDatabase`, under the min fold and a
+    // non-min fold.
+    let config = Arc::new(RetrievalConfig {
+        threads: 1,
+        ..RetrievalConfig::default()
+    });
+    let backend = feature_backend("gray-block").expect("registry lists gray-block");
+    let images: Vec<GrayImage> = (0..20).map(test_image).collect();
+    let bags: Vec<Bag> = images
+        .iter()
+        .map(|image| backend.gray_bag(image, &config).expect("featurise"))
+        .collect();
+    let labels: Vec<usize> = (0..images.len()).map(|i| i % 4).collect();
+    let db = RetrievalDatabase::from_bags(bags, labels).expect("valid corpus");
+    let dir = std::env::temp_dir()
+        .join("milrd_daemon_tests")
+        .join(format!("tombstones_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut store = milr_store::ShardedDatabase::from_database(&db, &dir, 6).unwrap();
+    for dead in [1, 5, 9, 12] {
+        store.delete(dead).unwrap();
+    }
+    store.flush().unwrap();
+    let oracle = Arc::new(store.to_database().unwrap());
+    assert_eq!(oracle.len(), 16);
+    let daemon = Daemon::spawn(&dir, &[]);
+    let health = daemon.get("/healthz").json().unwrap();
+    assert_eq!(health.get("images").and_then(Json::as_u64), Some(16));
+
+    let pool: Vec<usize> = (0..oracle.len()).collect();
+    let folds = [
+        (BagAggregator::MinDistance, ""),
+        (BagAggregator::LogSumExp, "logsumexp"),
+    ];
+
+    // GET /rank: index marks name live bags.
+    let concept = {
+        let mut session = QuerySession::builder(Arc::clone(&oracle))
+            .config(Arc::clone(&config))
+            .positives(vec![0, 4])
+            .negatives(vec![1])
+            .pool(Vec::new())
+            .build()
+            .unwrap();
+        session.train_round().unwrap();
+        session.shared_concept().unwrap()
+    };
+    for (aggregator, label) in folds {
+        let suffix = if label.is_empty() {
+            String::new()
+        } else {
+            format!("&aggregator={label}")
+        };
+        let response = daemon.get(&format!("/rank?positives=0,4&negatives=1&k=8{suffix}"));
+        assert_eq!(response.status, 200);
+        let expected = oracle
+            .rank(&concept, &RankRequest::all().top(8).aggregator(aggregator))
+            .unwrap();
+        assert_eq!(
+            ranking_of(&response.json().unwrap()),
+            expected,
+            "GET /rank under {aggregator}"
+        );
+    }
+
+    // POST /rank: an uploaded image trained against live negatives.
+    let query_pgm = pgm_b64(&images[2]);
+    let query_bag = backend.gray_bag(&images[2], &config).unwrap();
+    for (aggregator, label) in folds {
+        let mut session = QuerySession::builder(Arc::clone(&oracle))
+            .config(Arc::clone(&config))
+            .positives(Vec::new())
+            .negatives(vec![6])
+            .pool(pool.clone())
+            .build()
+            .unwrap();
+        session.add_positive_bag(query_bag.clone()).unwrap();
+        session.train_round().unwrap();
+        let expected = session
+            .rank(&RankRequest::pool().top(8).aggregator(aggregator))
+            .unwrap();
+        let fold = if label.is_empty() {
+            String::new()
+        } else {
+            format!(r#", "aggregator": "{label}""#)
+        };
+        let response = daemon.post(
+            "/rank",
+            &format!(r#"{{"image_pgm": "{query_pgm}", "negatives": [6], "k": 8{fold}}}"#),
+        );
+        assert_eq!(
+            response.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&response.body)
+        );
+        assert_eq!(
+            ranking_of(&response.json().unwrap()),
+            expected,
+            "POST /rank under {aggregator}"
+        );
+    }
+
+    // One session feedback round, its page asked for under each fold
+    // (the second request re-adopts the cached concept).
+    let created = daemon.post("/sessions", r#"{"positives": [3, 8], "negatives": [6]}"#);
+    assert_eq!(created.status, 201, "{:?}", created.body);
+    let id = created.json().unwrap().get("id").unwrap().as_u64().unwrap();
+    let mut reference = QuerySession::builder(Arc::clone(&oracle))
+        .config(Arc::clone(&config))
+        .positives(vec![3, 8])
+        .negatives(vec![6])
+        .pool(pool)
+        .build()
+        .unwrap();
+    reference.train_round().unwrap();
+    for (aggregator, label) in folds {
+        let fold = if label.is_empty() {
+            String::new()
+        } else {
+            format!(r#", "aggregator": "{label}""#)
+        };
+        let page = daemon.post(
+            &format!("/sessions/{id}/feedback"),
+            &format!(r#"{{"k": 8{fold}}}"#),
+        );
+        assert_eq!(page.status, 200, "{:?}", page.body);
+        let expected = reference
+            .rank(&RankRequest::pool().top(8).aggregator(aggregator))
+            .unwrap();
+        assert_eq!(
+            ranking_of(&page.json().unwrap()),
+            expected,
+            "session page under {aggregator}"
+        );
+    }
+
+    daemon.drain();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn pipelined_requests_get_ordered_responses_on_one_socket() {
     // Three requests written in one burst before reading anything:
     // HTTP/1.1 pipelining. The daemon must answer all three, in order,

@@ -72,6 +72,7 @@
 //! index at every stage, the sharded ranking is **bit-identical** to
 //! the monolithic one — asserted by this crate's property tests.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
@@ -80,7 +81,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use milr_core::database::{RankRequest, RankScope, Ranking};
 use milr_core::error::CoreError;
 use milr_core::storage::{storage_err, OsFs, StorageIo, Store, Stream};
-use milr_core::{BackendTag, RetrievalConfig, RetrievalDatabase};
+use milr_core::{BackendTag, Corpus, RetrievalConfig, RetrievalDatabase};
 use milr_imgproc::GrayImage;
 use milr_mil::{Bag, BagAggregator, CoarseIndex, Concept, FlatBags, QuantParams, ScreenStats};
 use milr_optim::pool;
@@ -332,9 +333,23 @@ impl ShardedDatabase {
         for i in 0..db.len() {
             let bag = db.bag(i).expect("index in range");
             let label = db.label(i).expect("index in range");
-            store.push_bag(bag.clone(), label)?;
+            store.push(bag, label)?;
         }
         Ok(store)
+    }
+
+    /// Holds an existing monolithic database as a one-shard in-memory
+    /// store — how a daemon serves a v2 file or an in-process database
+    /// through the same engine as a sharded snapshot. The shard is an
+    /// open tail: nothing touches the disk and no coarse index is built
+    /// (ranking takes the plain screened scan there). Not meant to be
+    /// flushed: the store is rooted at an empty path.
+    ///
+    /// # Errors
+    /// Same as [`Self::create`] (an empty database has no feature
+    /// dimension).
+    pub fn in_memory(db: &RetrievalDatabase) -> Result<Self, CoreError> {
+        Self::from_database(db, PathBuf::new(), usize::MAX)
     }
 
     /// Opens a v3 snapshot directory via the real filesystem.
@@ -488,6 +503,45 @@ impl ShardedDatabase {
             .collect()
     }
 
+    /// Every live bag's shard and local index, in global-index order.
+    fn live_slots(&self) -> impl Iterator<Item = (&Shard, usize)> + '_ {
+        self.shards.iter().flat_map(move |shard| {
+            (0..shard.len())
+                .filter(move |&local| !self.tombstones.contains(&(shard.base + local)))
+                .map(move |local| (shard, local))
+        })
+    }
+
+    /// Number of distinct categories among the live bags (max label +
+    /// 1; 0 for a store without live bags).
+    pub fn category_count(&self) -> usize {
+        self.live_slots()
+            .map(|(shard, local)| shard.labels[local])
+            .max()
+            .map_or(0, |max| max + 1)
+    }
+
+    /// Maps a live index — the bag's position among live bags, the
+    /// index clients address — to its global index.
+    fn global_index(&self, live: usize) -> Result<usize, CoreError> {
+        if live >= self.live_len() {
+            return Err(CoreError::IndexOutOfBounds {
+                index: live,
+                len: self.live_len(),
+            });
+        }
+        // The `live`-th live index is `live` plus every tombstone at or
+        // below it; tombstones ascend, so one pass settles it.
+        let mut global = live;
+        for &dead in &self.tombstones {
+            if dead > global {
+                break;
+            }
+            global += 1;
+        }
+        Ok(global)
+    }
+
     /// Maps a global index to `(shard, local)` coordinates.
     fn locate(&self, index: usize) -> Result<(usize, usize), CoreError> {
         let len = self.len();
@@ -509,6 +563,10 @@ impl ShardedDatabase {
     /// # Errors
     /// [`CoreError::Mil`] on a feature-dimension mismatch.
     pub fn push_bag(&mut self, bag: Bag, label: usize) -> Result<usize, CoreError> {
+        self.push(&bag, label)
+    }
+
+    fn push(&mut self, bag: &Bag, label: usize) -> Result<usize, CoreError> {
         if bag.dim() != self.feature_dim {
             return Err(CoreError::Mil(milr_mil::MilError::DimensionMismatch {
                 expected: self.feature_dim,
@@ -531,7 +589,7 @@ impl ShardedDatabase {
         }
         let capacity = self.shard_capacity;
         let tail = self.shards.last_mut().expect("tail exists");
-        tail.bags.push_bag(&bag);
+        tail.bags.push_bag(bag);
         tail.labels.push(label);
         tail.persisted = false;
         if tail.len() >= capacity {
@@ -732,22 +790,16 @@ impl ShardedDatabase {
 
     /// Rebuilds the live bags as a monolithic [`RetrievalDatabase`], in
     /// global-index order (tombstoned bags are skipped, so indices
-    /// compress when any exist).
+    /// compress when any exist). A CLI and test oracle: serving ranks the
+    /// store itself ([`Self::rank_live`]).
     ///
     /// # Errors
     /// [`CoreError::Mil`] when no live bags remain.
     pub fn to_database(&self) -> Result<RetrievalDatabase, CoreError> {
-        let mut bags = Vec::with_capacity(self.live_len());
-        let mut labels = Vec::with_capacity(self.live_len());
-        for shard in &self.shards {
-            for local in 0..shard.len() {
-                if self.tombstones.contains(&(shard.base + local)) {
-                    continue;
-                }
-                bags.push(shard.bags.to_bag(local));
-                labels.push(shard.labels[local]);
-            }
-        }
+        let (bags, labels) = self
+            .live_slots()
+            .map(|(shard, local)| (shard.bags.to_bag(local), shard.labels[local]))
+            .unzip();
         RetrievalDatabase::from_bags(bags, labels)
     }
 
@@ -790,9 +842,81 @@ impl ShardedDatabase {
         self.rank_impl(concept, request, false)
     }
 
+    /// [`Self::rank`] in the **live** index space — the tombstone-
+    /// compressed numbering clients address, where live bag `i` is the
+    /// `i`-th bag not tombstoned (the numbering [`Self::to_database`]
+    /// produces). `RankScope::Indices` names live indices and the ranking
+    /// comes back in live indices; without tombstones the two spaces
+    /// coincide and this is exactly [`Self::rank`].
+    ///
+    /// # Errors
+    /// Same as [`Self::rank`], with out-of-range indices measured
+    /// against [`Self::live_len`].
+    pub fn rank_live(
+        &self,
+        concept: &Concept,
+        request: &RankRequest,
+    ) -> Result<Ranking, CoreError> {
+        self.rank_live_candidates(concept, scope_candidates(&request.scope)?, request)
+    }
+
+    /// The live ↔ global translation around [`Self::rank_global`]:
+    /// `candidates` are live indices (`None` = every live bag).
+    fn rank_live_candidates(
+        &self,
+        concept: &Concept,
+        candidates: Option<&[usize]>,
+        request: &RankRequest,
+    ) -> Result<Ranking, CoreError> {
+        if self.tombstones.is_empty() {
+            return self.rank_global(concept, candidates, request, true);
+        }
+        let live = self.live_indices();
+        let mapped: Vec<usize>;
+        let globals: &[usize] = match candidates {
+            None => &live,
+            Some(candidates) => {
+                mapped = candidates
+                    .iter()
+                    .map(|&index| {
+                        live.get(index).copied().ok_or(CoreError::IndexOutOfBounds {
+                            index,
+                            len: live.len(),
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
+                &mapped
+            }
+        };
+        let ranking = self.rank_global(concept, Some(globals), request, true)?;
+        Ok(ranking
+            .into_iter()
+            .map(|(global, d)| {
+                (
+                    live.binary_search(&global).expect("ranked bags are live"),
+                    d,
+                )
+            })
+            .collect())
+    }
+
     fn rank_impl(
         &self,
         concept: &Concept,
+        request: &RankRequest,
+        screen: bool,
+    ) -> Result<Ranking, CoreError> {
+        self.rank_global(concept, scope_candidates(&request.scope)?, request, screen)
+    }
+
+    /// The scatter-gather behind every ranking entry. `candidates` are
+    /// global indices, or `None` for every live bag; the request
+    /// supplies the page bound, threads, index switch and aggregator
+    /// (its scope is already resolved into `candidates`).
+    fn rank_global(
+        &self,
+        concept: &Concept,
+        candidates: Option<&[usize]>,
         request: &RankRequest,
         screen: bool,
     ) -> Result<Ranking, CoreError> {
@@ -802,13 +926,18 @@ impl ShardedDatabase {
                 actual: concept.dim(),
             }));
         }
-        let all: Vec<usize>;
-        let candidates: &[usize] = match &request.scope {
-            RankScope::All => {
-                all = self.live_indices();
-                &all
-            }
-            RankScope::Indices(indices) => {
+        let _span = milr_obs::span!("store.rank");
+        let started = std::time::Instant::now();
+
+        // Scatter: group the candidates per shard, preserving their
+        // order inside each group (candidates within one shard are
+        // scanned in the given order, like the monolithic scan). Every
+        // live bag of a store without tombstones is each shard's full
+        // local range, so that case needs no grouping at all.
+        let groups = match candidates {
+            None if self.tombstones.is_empty() => None,
+            None => Some(self.group_by_shard(&self.live_indices())?),
+            Some(indices) => {
                 for &index in indices {
                     // A tombstoned bag is gone as far as callers are
                     // concerned: naming it is the same error as naming
@@ -820,24 +949,11 @@ impl ShardedDatabase {
                         });
                     }
                 }
-                indices
+                Some(self.group_by_shard(indices)?)
             }
-            RankScope::Pool => return Err(CoreError::InvalidScope { scope: "pool" }),
-            RankScope::Test => return Err(CoreError::InvalidScope { scope: "test" }),
         };
-        let _span = milr_obs::span!("store.rank");
-        let started = std::time::Instant::now();
-
-        // Scatter: group the candidates per shard, preserving ascending
-        // global order inside each group (candidates within one shard
-        // are scanned in the given order, like the monolithic scan).
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for &index in candidates {
-            let (shard, local) = self.locate(index)?;
-            groups[shard].push(local);
-        }
-        let occupied: Vec<usize> = (0..groups.len())
-            .filter(|&s| !groups[s].is_empty())
+        let occupied: Vec<usize> = (0..self.shards.len())
+            .filter(|&s| groups.as_ref().is_none_or(|g| !g[s].is_empty()))
             .collect();
         let shared = SharedBound::new();
         let scans = pool::run_indexed(occupied.len(), request.threads, |i| {
@@ -846,7 +962,7 @@ impl ShardedDatabase {
             rank_one_shard(
                 &self.shards[shard_index],
                 concept,
-                &groups[shard_index],
+                groups.as_ref().map(|g| g[shard_index].as_slice()),
                 request.top_k,
                 &shared,
                 screen,
@@ -855,7 +971,7 @@ impl ShardedDatabase {
             )
         });
         milr_obs::counter!("milr_store_rank_shards_total").add(occupied.len() as u64);
-        let (per_shard, _tightenings) = fold_scan_counters(scans);
+        let (mut per_shard, _tightenings) = fold_scan_counters(scans);
 
         // Gather: k-way merge of the sorted per-shard rankings by
         // (distance, global index), truncated to k — exactly the global
@@ -863,11 +979,89 @@ impl ShardedDatabase {
         // ranking *shorter* than k (bags provably outside the global
         // top-k are dropped mid-fill), but every global top-k entry is
         // always admitted to its shard's local ranking, so the merge of
-        // the survivors is still exact.
-        let merged = merge_rankings(per_shard, request.top_k);
-        milr_obs::histogram!("milr_store_rank_latency_us")
-            .record(started.elapsed().as_micros() as u64);
+        // the survivors is still exact. A lone shard's ranking already
+        // is that head.
+        let merged = if per_shard.len() == 1 {
+            per_shard.pop().expect("one shard ranking")
+        } else {
+            merge_rankings(per_shard, request.top_k)
+        };
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        milr_obs::histogram!("milr_store_rank_latency_us").record(elapsed_us);
+        // The engine-wide page/full ranking series the monolithic paths
+        // feed too, so a daemon's latency view does not depend on which
+        // engine ranked.
+        match request.top_k {
+            Some(_) => milr_obs::histogram!("milr_rank_topk_latency_us").record(elapsed_us),
+            None => milr_obs::histogram!("milr_rank_latency_us").record(elapsed_us),
+        }
         Ok(merged)
+    }
+
+    /// Splits global indices into per-shard local lists, keeping their
+    /// order within each shard.
+    fn group_by_shard(&self, indices: &[usize]) -> Result<Vec<Vec<usize>>, CoreError> {
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for &index in indices {
+            let (shard, local) = self.locate(index)?;
+            groups[shard].push(local);
+        }
+        Ok(groups)
+    }
+}
+
+/// The store as a session's collection, in the live index space (see
+/// [`ShardedDatabase::rank_live`]): a daemon trains and ranks sessions
+/// on the store it serves from, addressed exactly like the compacted
+/// [`ShardedDatabase::to_database`] view.
+impl Corpus for ShardedDatabase {
+    fn len(&self) -> usize {
+        self.live_len()
+    }
+
+    fn feature_dim(&self) -> usize {
+        self.feature_dim
+    }
+
+    fn bag(&self, index: usize) -> Result<Cow<'_, Bag>, CoreError> {
+        let (shard, local) = self.locate(self.global_index(index)?)?;
+        Ok(Cow::Owned(self.shards[shard].bags.to_bag(local)))
+    }
+
+    fn labels(&self) -> Cow<'_, [usize]> {
+        Cow::Owned(
+            self.live_slots()
+                .map(|(shard, local)| shard.labels[local])
+                .collect(),
+        )
+    }
+
+    fn rank_candidates(
+        &self,
+        concept: &Concept,
+        candidates: &[usize],
+        top_k: Option<usize>,
+        threads: usize,
+        aggregator: BagAggregator,
+    ) -> Result<Ranking, CoreError> {
+        let request = RankRequest {
+            top_k,
+            threads,
+            aggregator,
+            ..RankRequest::default()
+        };
+        self.rank_live_candidates(concept, Some(candidates), &request)
+    }
+}
+
+/// The explicit candidates of a store-level scope (`None` for
+/// [`RankScope::All`]); the session-only scopes are refused.
+fn scope_candidates(scope: &RankScope) -> Result<Option<&[usize]>, CoreError> {
+    match scope {
+        RankScope::All => Ok(None),
+        RankScope::Indices(indices) => Ok(Some(indices)),
+        RankScope::Pool => Err(CoreError::InvalidScope { scope: "pool" }),
+        RankScope::Test => Err(CoreError::InvalidScope { scope: "test" }),
     }
 }
 
@@ -901,10 +1095,11 @@ fn fold_scan_counters(scans: Vec<ShardScan>) -> (Vec<Ranking>, u64) {
     (rankings, tightenings)
 }
 
-/// Ranks one shard's candidate list (local indices): the same algorithm
-/// as the monolithic `RetrievalDatabase` paths — a full scored sort, or
-/// the pruned bounded scan with a `(distance, global index)` max-heap —
-/// run over the flat shard layout.
+/// Ranks one shard's candidate list (local indices; `None` = the whole
+/// shard, in order): the same algorithm as the monolithic
+/// `RetrievalDatabase` paths — a full scored sort, or the pruned bounded
+/// scan with a `(distance, global index)` max-heap — run over the flat
+/// shard layout.
 ///
 /// Top-k scans prune against the tighter of the local heap's worst and
 /// the shared global bound, publish every tightening of the local worst
@@ -933,7 +1128,7 @@ fn fold_scan_counters(scans: Vec<ShardScan>) -> (Vec<Ranking>, u64) {
 fn rank_one_shard(
     shard: &Shard,
     concept: &Concept,
-    locals: &[usize],
+    locals: Option<&[usize]>,
     top_k: Option<usize>,
     shared: &SharedBound,
     screen: bool,
@@ -1000,9 +1195,8 @@ fn rank_one_shard(
             // shared bound nor a top-k threshold applies; the screen
             // still skips instances beaten by their own bag's running
             // best.
-            let mut scored: Ranking = locals
-                .iter()
-                .map(|&local| {
+            let mut scored: Ranking = scan_order(locals, shard.len())
+                .map(|local| {
                     (
                         shard.base + local,
                         scan(local, f64::INFINITY, &mut stats).unwrap_or(f64::INFINITY),
@@ -1020,7 +1214,7 @@ fn rank_one_shard(
         Some(k) => {
             let mut heap: std::collections::BinaryHeap<WorstCandidate> =
                 std::collections::BinaryHeap::with_capacity(k + 1);
-            for &local in locals {
+            for local in scan_order(locals, shard.len()) {
                 let index = shard.base + local;
                 let local_worst = (heap.len() >= k).then(|| {
                     let worst = heap.peek().expect("heap is non-empty");
@@ -1095,6 +1289,16 @@ fn rank_one_shard(
         cells_skipped,
         index_fallback,
     }
+}
+
+/// The local indices a shard scan visits: the listed ones in order, or
+/// (for `None`) the shard's full range.
+fn scan_order(locals: Option<&[usize]>, len: usize) -> impl Iterator<Item = usize> + '_ {
+    let (listed, range) = match locals {
+        Some(listed) => (listed, 0..0),
+        None => (&[][..], 0..len),
+    };
+    listed.iter().copied().chain(range)
 }
 
 /// Index-ordered k-way merge of sorted rankings: repeatedly takes the
@@ -1412,8 +1616,8 @@ impl ManifestSummary {
     }
 
     /// Maps a global index to its rank among live indices — the index
-    /// the same bag carries in the compacted [`Snapshot::database`]
-    /// view. Returns `None` for tombstoned indices.
+    /// clients address (see [`ShardedDatabase::rank_live`]). Returns
+    /// `None` for tombstoned indices.
     pub fn live_rank(&self, index: usize) -> Option<usize> {
         if self.tombstones.contains(&index) {
             return None;
@@ -1775,7 +1979,7 @@ impl ShardSubset {
             rank_one_shard(
                 &self.shards[shard_index],
                 concept,
-                &self.locals[shard_index],
+                Some(&self.locals[shard_index]),
                 Some(k),
                 &shared,
                 true,
@@ -1795,49 +1999,33 @@ impl ShardSubset {
     }
 }
 
-/// A loaded snapshot of either format, ready to serve.
+/// A loaded snapshot of either format, opened as a store ready to serve.
 #[derive(Debug)]
 pub struct Snapshot {
-    /// The live bags as a monolithic database (global-index order).
-    pub database: RetrievalDatabase,
-    /// The manifest generation (0 for monolithic v2 snapshots).
-    pub generation: u64,
-    /// How many shards backed the snapshot (1 for v2 files).
-    pub shards: usize,
-    /// The feature backend recorded for the snapshot's bags (the
-    /// default gray-block tag for monolithic v2 files and pre-v6
-    /// sharded snapshots).
-    pub backend: BackendTag,
+    /// The opened store: a sharded directory as written (its manifest's
+    /// generation and backend tag included), or a monolithic v2 file as a
+    /// one-shard in-memory store ([`ShardedDatabase::in_memory`]) at
+    /// generation 0 with the default gray-block backend tag.
+    pub store: ShardedDatabase,
 }
 
 /// Loads a snapshot, auto-detecting the format: a directory (or a path
-/// whose `manifest.milr` exists) is a sharded v3 store; anything else is
-/// a monolithic v2 file.
+/// whose `manifest.milr` exists) is a sharded store; anything else is a
+/// monolithic v2 file.
 ///
 /// # Errors
 /// [`CoreError::Storage`] with the usual diagnostics for either format.
 pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Snapshot, CoreError> {
     let path = path.as_ref();
-    if path.is_dir() || path.join(MANIFEST_FILE).is_file() {
-        let mut store = ShardedDatabase::open(path)?;
-        let backend = std::mem::take(&mut store.backend);
-        Ok(Snapshot {
-            database: store.to_database()?,
-            generation: store.generation(),
-            shards: store.shard_count(),
-            backend,
-        })
+    let store = if path.is_dir() || path.join(MANIFEST_FILE).is_file() {
+        ShardedDatabase::open(path)?
     } else {
         // Monolithic v2 files predate backend tags; they were all
-        // produced by the gray-block pipeline.
+        // produced by the gray-block pipeline, the default tag.
         let database: RetrievalDatabase = Store::default().open(path)?;
-        Ok(Snapshot {
-            database,
-            generation: 0,
-            shards: 1,
-            backend: BackendTag::default(),
-        })
-    }
+        ShardedDatabase::in_memory(&database)?
+    };
+    Ok(Snapshot { store })
 }
 
 /// [`load_snapshot`], additionally requiring the snapshot's recorded
@@ -1854,12 +2042,12 @@ pub fn load_snapshot_expecting(
 ) -> Result<Snapshot, CoreError> {
     let path = path.as_ref();
     let snapshot = load_snapshot(path)?;
-    if snapshot.backend.id != expected_backend {
+    if snapshot.store.backend.id != expected_backend {
         return Err(storage_err(
             path,
             format!(
                 "snapshot was preprocessed with feature backend '{}' but '{expected_backend}' was expected",
-                snapshot.backend.id
+                snapshot.store.backend.id
             ),
         ));
     }
@@ -2062,7 +2250,7 @@ mod tests {
         // The snapshot front door surfaces the tag and the expecting
         // variant enforces it.
         let snapshot = load_snapshot(&dir).unwrap();
-        assert_eq!(snapshot.backend, tag);
+        assert_eq!(snapshot.store.backend(), &tag);
         assert!(load_snapshot_expecting(&dir, "sbn").is_ok());
         assert!(matches!(
             load_snapshot_expecting(&dir, "gray-block"),
@@ -2393,25 +2581,94 @@ mod tests {
             .join(format!("snap_v2_{}.milr", std::process::id()));
         std::fs::create_dir_all(v2_path.parent().unwrap()).unwrap();
         Store::default().save(&db, &v2_path).unwrap();
-        let v2 = load_snapshot(&v2_path).unwrap();
-        assert_eq!(v2.generation, 0);
-        assert_eq!(v2.shards, 1);
-        assert_eq!(v2.database.labels(), db.labels());
+        let v2 = load_snapshot(&v2_path).unwrap().store;
+        assert_eq!(v2.generation(), 0);
+        assert_eq!(v2.shard_count(), 1);
+        assert_eq!(&*Corpus::labels(&v2), db.labels());
 
         // v3: a sharded directory.
         let dir = temp_dir("snap_v3");
         let mut store = ShardedDatabase::from_database(&db, &dir, 3).unwrap();
         store.flush().unwrap();
-        let v3 = load_snapshot(&dir).unwrap();
-        assert_eq!(v3.generation, 1);
-        assert_eq!(v3.shards, 3);
-        assert_eq!(v3.database.labels(), db.labels());
+        let v3 = load_snapshot(&dir).unwrap().store;
+        assert_eq!(v3.generation(), 1);
+        assert_eq!(v3.shard_count(), 3);
+        assert_eq!(&*Corpus::labels(&v3), db.labels());
         for i in 0..db.len() {
-            assert_eq!(v3.database.bag(i).unwrap(), db.bag(i).unwrap());
+            assert_eq!(&*Corpus::bag(&v3, i).unwrap(), db.bag(i).unwrap());
         }
 
         std::fs::remove_file(&v2_path).ok();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn in_memory_store_is_one_unindexed_shard_ranking_like_the_database() {
+        let db = sample_db(23);
+        let store = ShardedDatabase::in_memory(&db).unwrap();
+        assert_eq!(store.shard_count(), 1);
+        assert!(store.shard_index(0).is_none(), "no index build at start-up");
+        assert_eq!(store.category_count(), db.category_count());
+        let concept = sample_concept();
+        for request in [RankRequest::all(), RankRequest::all().top(5)] {
+            assert_eq!(
+                store.rank_live(&concept, &request).unwrap(),
+                db.rank(&concept, &request).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn live_space_matches_the_compacted_database() {
+        // Clients address live indices; with tombstones the store must
+        // translate both ways and agree with the `to_database` oracle.
+        let db = sample_db(30);
+        let mut store = ShardedDatabase::from_database(&db, temp_dir("live"), 7).unwrap();
+        for dead in [0, 8, 9, 17, 29] {
+            store.delete(dead).unwrap();
+        }
+        let oracle = store.to_database().unwrap();
+        assert_eq!(Corpus::len(&store), oracle.len());
+        assert_eq!(&*Corpus::labels(&store), oracle.labels());
+        assert_eq!(store.category_count(), oracle.category_count());
+        for live in 0..oracle.len() {
+            assert_eq!(
+                &*Corpus::bag(&store, live).unwrap(),
+                oracle.bag(live).unwrap()
+            );
+            let global = store.global_index(live).unwrap();
+            assert!(!store.is_deleted(global).unwrap());
+        }
+        assert!(matches!(
+            Corpus::bag(&store, oracle.len()),
+            Err(CoreError::IndexOutOfBounds { .. })
+        ));
+        let concept = sample_concept();
+        let subset: Vec<usize> = (0..oracle.len()).rev().step_by(2).collect();
+        for aggregator in [BagAggregator::MinDistance, BagAggregator::LogSumExp] {
+            for top_k in [None, Some(4)] {
+                let mut request = RankRequest::all().aggregator(aggregator);
+                request.top_k = top_k;
+                assert_eq!(
+                    store.rank_live(&concept, &request).unwrap(),
+                    oracle.rank(&concept, &request).unwrap(),
+                    "{aggregator} {top_k:?}"
+                );
+                assert_eq!(
+                    store
+                        .rank_candidates(&concept, &subset, top_k, 2, aggregator)
+                        .unwrap(),
+                    oracle
+                        .rank_candidates(&concept, &subset, top_k, 2, aggregator)
+                        .unwrap(),
+                    "{aggregator} {top_k:?} subset"
+                );
+            }
+        }
+        assert!(matches!(
+            store.rank_live(&concept, &RankRequest::over(vec![oracle.len()])),
+            Err(CoreError::IndexOutOfBounds { .. })
+        ));
     }
 
     #[test]

@@ -4,13 +4,21 @@
 //! actually move on data where skipping is provably possible.
 //!
 //! These live in their own integration binary so no unrelated test
-//! bumps the same process-global counters concurrently and the deltas
-//! stay exact.
+//! bumps the same process-global counters concurrently, and every test
+//! here holds [`serial`] so the deltas stay exact.
 
 use milr_core::{RankRequest, RetrievalDatabase};
 use milr_mil::{Bag, BagAggregator, Concept};
 use milr_store::ShardedDatabase;
 use milr_synth::corpus;
+
+/// Serialises this binary's tests: they all read deltas of the same
+/// process-global counters.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn counter(name: &str) -> u64 {
     milr_obs::global().counter(name).get()
@@ -26,6 +34,7 @@ fn scratch(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn unindexed_tail_scans_are_counted_as_fallbacks() {
+    let _serial = serial();
     let bags: Vec<Bag> = corpus::lattice_bags(10, 4)
         .into_iter()
         .map(|instances| Bag::new(instances).unwrap())
@@ -70,6 +79,7 @@ fn unindexed_tail_scans_are_counted_as_fallbacks() {
 
 #[test]
 fn non_min_aggregators_pin_the_fallback_counters() {
+    let _serial = serial();
     // The pinned-counter contract (see `rank_one_shard`): a non-min
     // aggregator takes the exact fold, so the i8 screen never fires
     // (`quant_screened == 0`), no shard ever publishes a tightened
@@ -131,6 +141,7 @@ fn non_min_aggregators_pin_the_fallback_counters() {
 
 #[test]
 fn cell_skips_fire_on_clustered_data_without_changing_the_ranking() {
+    let _serial = serial();
     // One sealed shard, 16 single-instance bags: bag 0 sits exactly on
     // the query, the rest far away. The top-1 bound collapses to ~0
     // after the first bag, so every far cell is provably skippable.

@@ -187,12 +187,13 @@ fn v2_snapshot_still_loads() {
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     Store::default().save(&db, &path).unwrap();
 
-    let snapshot = load_snapshot(&path).unwrap();
-    assert_eq!(snapshot.generation, 0);
-    assert_eq!(snapshot.shards, 1);
-    assert_eq!(snapshot.database.labels(), db.labels());
+    let store = load_snapshot(&path).unwrap().store;
+    assert_eq!(store.generation(), 0);
+    assert_eq!(store.shard_count(), 1);
+    let back = store.to_database().unwrap();
+    assert_eq!(back.labels(), db.labels());
     for i in 0..db.len() {
-        assert_eq!(snapshot.database.bag(i).unwrap(), db.bag(i).unwrap());
+        assert_eq!(back.bag(i).unwrap(), db.bag(i).unwrap());
     }
     std::fs::remove_file(&path).ok();
 }
@@ -223,8 +224,12 @@ fn v2_to_v3_migration_preserves_rankings() {
     Store::default().save(&db, &v2_path).unwrap();
 
     let v3_dir = scratch_dir("migrate_v3");
-    let loaded = load_snapshot(&v2_path).unwrap();
-    let mut store = ShardedDatabase::from_database(&loaded.database, &v3_dir, 4).unwrap();
+    let loaded = load_snapshot(&v2_path)
+        .unwrap()
+        .store
+        .to_database()
+        .unwrap();
+    let mut store = ShardedDatabase::from_database(&loaded, &v3_dir, 4).unwrap();
     store.flush().unwrap();
     assert!(store.shard_count() >= 4, "migration must actually shard");
 

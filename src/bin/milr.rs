@@ -294,8 +294,10 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
 /// sharded v3 directory (a load-and-verify round trip either way).
 fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     let path = flag(args, "--in").ok_or("--in is required")?;
-    let loaded = milr::store::load_snapshot(&path).map_err(|e| e.to_string())?;
-    let retrieval = &loaded.database;
+    let store = milr::store::load_snapshot(&path)
+        .map_err(|e| e.to_string())?
+        .store;
+    let retrieval = store.to_database().map_err(|e| e.to_string())?;
     let bytes = snapshot_bytes(Path::new(&path))?;
     let instances: usize = (0..retrieval.len())
         .map(|i| retrieval.bag(i).map(|b| b.len()).unwrap_or(0))
@@ -306,10 +308,10 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
         retrieval.len(),
         retrieval.category_count(),
         retrieval.feature_dim(),
-        loaded.generation,
-        loaded.shards,
-        if loaded.shards == 1 { "" } else { "s" },
-        loaded.backend,
+        store.generation(),
+        store.shard_count(),
+        if store.shard_count() == 1 { "" } else { "s" },
+        store.backend(),
     );
     Ok(())
 }
@@ -341,11 +343,14 @@ fn cmd_shard(args: &[String]) -> Result<(), String> {
             .ok_or(format!("invalid --shard-bags {text:?}"))?,
         None => milr::store::DEFAULT_SHARD_CAPACITY,
     };
-    let loaded = milr::store::load_snapshot(&input).map_err(|e| e.to_string())?;
-    let mut store = milr::store::ShardedDatabase::from_database(&loaded.database, &out, capacity)
+    let loaded = milr::store::load_snapshot(&input)
+        .map_err(|e| e.to_string())?
+        .store;
+    let database = loaded.to_database().map_err(|e| e.to_string())?;
+    let mut store = milr::store::ShardedDatabase::from_database(&database, &out, capacity)
         .map_err(|e| e.to_string())?;
     // Migration preserves the source snapshot's backend identity.
-    store.set_backend(loaded.backend);
+    store.set_backend(loaded.backend().clone());
     store.flush().map_err(|e| e.to_string())?;
     println!(
         "wrote sharded snapshot {} ({} images over {} shard{}, {} bags/shard, generation {})",
@@ -390,11 +395,13 @@ fn cmd_compact(args: &[String]) -> Result<(), String> {
                 .ok_or(format!("invalid --shard-bags {text:?}"))?,
             None => milr::store::DEFAULT_SHARD_CAPACITY,
         };
-        let loaded = milr::store::load_snapshot(in_path).map_err(|e| e.to_string())?;
-        let mut migrated =
-            milr::store::ShardedDatabase::from_database(&loaded.database, &out, capacity)
-                .map_err(|e| e.to_string())?;
-        migrated.set_backend(loaded.backend);
+        let loaded = milr::store::load_snapshot(in_path)
+            .map_err(|e| e.to_string())?
+            .store;
+        let database = loaded.to_database().map_err(|e| e.to_string())?;
+        let mut migrated = milr::store::ShardedDatabase::from_database(&database, &out, capacity)
+            .map_err(|e| e.to_string())?;
+        migrated.set_backend(loaded.backend().clone());
         migrated
     };
     let dropped = store.compact();
@@ -536,13 +543,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         None => milr::store::load_snapshot(&snapshot).map_err(|e| e.to_string())?,
     };
     options.snapshot_path = Some(PathBuf::from(&snapshot));
+    let store = &loaded.store;
     let (images, categories, dim) = (
-        loaded.database.len(),
-        loaded.database.category_count(),
-        loaded.database.feature_dim(),
+        store.live_len(),
+        store.category_count(),
+        store.feature_dim(),
     );
-    let (generation, shards, backend_id) =
-        (loaded.generation, loaded.shards, loaded.backend.id.clone());
+    let (generation, shards, backend_id) = (
+        store.generation(),
+        store.shard_count(),
+        store.backend().id.clone(),
+    );
     let server = milr::serve::Server::start_with_snapshot(loaded, options)?;
     println!(
         "milrd listening on {} ({images} images, {categories} categories, dim {dim}, \
@@ -989,8 +1000,8 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         Some(path) => {
             eprintln!("loading snapshot {path} ...");
             let retrieval = milr::store::load_snapshot(&path)
-                .map_err(|e| e.to_string())?
-                .database;
+                .and_then(|loaded| loaded.store.to_database())
+                .map_err(|e| e.to_string())?;
             if retrieval.len() != images.len() {
                 return Err(format!(
                     "snapshot {path} holds {} images but --kind/--per-category/--seed \
