@@ -11,8 +11,8 @@
 //!   flat fused-kernel [`DdObjective`] vs the pointer-chasing
 //!   [`LegacyDdObjective`] (slice-of-slices, per-element `f64::from`,
 //!   per-call scratch allocation).
-//! * **rank** — pruned parallel [`RetrievalDatabase::rank`] and the
-//!   bounded [`RetrievalDatabase::rank_top_k`] vs a naive serial
+//! * **rank** — pruned parallel [`RetrievalDatabase::rank`], full and
+//!   bounded to a top-k, vs a naive serial
 //!   min-fold over [`Concept::instance_distance_sq`].
 //!
 //! Every optimisation is exact, so besides the timings the experiment

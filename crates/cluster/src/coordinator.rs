@@ -52,12 +52,12 @@ use milr_serve::cache::{CachedConcept, ConceptCache, ConceptKey};
 use milr_serve::client;
 use milr_serve::http::Request;
 use milr_serve::metrics::Metrics;
+use milr_serve::node::{Action, Node, NodeOptions, Reply};
 use milr_serve::{parse_policy, Json};
 use milr_store::{
     read_manifest, shard_file_name, ManifestSummary, ShardedDatabase, SharedBound, MANIFEST_FILE,
 };
 
-use crate::node::{Action, Node, NodeOptions, Reply};
 use crate::protocol::{
     assign_shards, gather, missing_ranges, GatherInput, WorkerRankRequest, WorkerRankResponse,
 };
@@ -756,35 +756,13 @@ impl CoordinatorDaemon {
     }
 
     fn metrics_json(&self) -> Json {
-        Json::Obj(vec![
-            ("role".into(), Json::str("coordinator")),
-            (
-                "accepted_total".into(),
-                Json::num(self.metrics.accepted_total.get() as f64),
-            ),
-            (
-                "completed_total".into(),
-                Json::num(self.metrics.completed_total.get() as f64),
-            ),
-            (
-                "read_error_total".into(),
-                Json::num(self.metrics.read_error_total.get() as f64),
-            ),
-            (
-                "closed_total".into(),
-                Json::num(self.metrics.closed_total.get() as f64),
-            ),
-            (
-                "shed_total".into(),
-                Json::num(self.metrics.shed_total.get() as f64),
-            ),
-            (
-                "deadline_shed_total".into(),
-                Json::num(self.metrics.deadline_shed_total.get() as f64),
-            ),
+        let mut fields = vec![("role".into(), Json::str("coordinator"))];
+        fields.extend(self.metrics.connection_fields());
+        fields.extend([
             ("cluster".into(), self.cluster_counters_json()),
             ("endpoints".into(), self.metrics.endpoints_json()),
-        ])
+        ]);
+        Json::Obj(fields)
     }
 
     fn route(&self, req: &Request) -> (&'static str, Action) {

@@ -4,7 +4,7 @@
 //!
 //! A worker never trains — concepts arrive fully formed from the
 //! coordinator — so its request path is exactly one
-//! [`ShardSubset::rank_top_k`] call. Generation discipline is strict:
+//! [`ShardSubset::rank_top_k_with`] call. Generation discipline is strict:
 //! a request stamped with a different generation than the loaded
 //! subset is answered `409` before any ranking happens, so
 //! cross-generation results can never merge silently; the coordinator
@@ -26,10 +26,10 @@ use milr_core::storage::storage_err;
 use milr_serve::client;
 use milr_serve::http::Request;
 use milr_serve::metrics::Metrics;
+use milr_serve::node::{Action, Node, NodeOptions, Reply};
 use milr_serve::Json;
 use milr_store::{read_manifest, shard_file_name, ManifestSummary, ShardSubset};
 
-use crate::node::{Action, Node, NodeOptions, Reply};
 use crate::protocol::{assign_shards, WorkerRankRequest, WorkerRankResponse};
 
 /// Everything tunable about a worker daemon.
@@ -251,32 +251,9 @@ impl WorkerDaemon {
 
     fn metrics_json(&self) -> Json {
         let epoch = self.epoch();
-        Json::Obj(vec![
-            ("role".into(), Json::str("worker")),
-            (
-                "accepted_total".into(),
-                Json::num(self.metrics.accepted_total.get() as f64),
-            ),
-            (
-                "completed_total".into(),
-                Json::num(self.metrics.completed_total.get() as f64),
-            ),
-            (
-                "read_error_total".into(),
-                Json::num(self.metrics.read_error_total.get() as f64),
-            ),
-            (
-                "closed_total".into(),
-                Json::num(self.metrics.closed_total.get() as f64),
-            ),
-            (
-                "shed_total".into(),
-                Json::num(self.metrics.shed_total.get() as f64),
-            ),
-            (
-                "deadline_shed_total".into(),
-                Json::num(self.metrics.deadline_shed_total.get() as f64),
-            ),
+        let mut fields = vec![("role".into(), Json::str("worker"))];
+        fields.extend(self.metrics.connection_fields());
+        fields.extend([
             (
                 "worker".into(),
                 Json::Obj(vec![
@@ -308,7 +285,8 @@ impl WorkerDaemon {
             ),
             ("rank".into(), milr_serve::metrics::rank_counters_json()),
             ("endpoints".into(), self.metrics.endpoints_json()),
-        ])
+        ]);
+        Json::Obj(fields)
     }
 
     fn route(&self, req: &Request) -> (&'static str, Action) {

@@ -1,10 +1,12 @@
 //! Integration tests of a real coordinator + worker fleet over live
 //! sockets, all in one process: wire-level bit-identity against the
-//! single-node daemon, keep-alive socket reuse, bound forwarding,
+//! single-node daemon, keep-alive socket reuse and pipelining, bound
+//! forwarding,
 //! generation-skew rejection/resync, eviction and rejoin, and the
 //! join-time snapshot streaming path.
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -445,4 +447,38 @@ fn worker_streams_its_shard_subset_from_the_coordinator_on_join() {
     worker_b.request_shutdown();
     worker_a.wait();
     worker_b.wait();
+}
+
+#[test]
+fn pipelined_requests_to_a_worker_get_ordered_responses_on_one_socket() {
+    // Two requests written in one `write` before reading anything: the
+    // worker must answer both, in order, on the same socket.
+    let dir = sharded_corpus("pipeline");
+    let worker = start_worker(&dir, 0, 1);
+    let mut stream = TcpStream::connect(worker.addr()).unwrap();
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    stream
+        .write_all(
+            b"GET /healthz HTTP/1.1\r\nHost: w\r\n\r\nGET /metrics HTTP/1.1\r\nHost: w\r\n\r\n",
+        )
+        .unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    let text = String::from_utf8_lossy(&raw);
+    assert_eq!(
+        text.matches("HTTP/1.1 200").count(),
+        2,
+        "both pipelined requests must be answered: {text}"
+    );
+    let health = text.find("\"live_bags\"").expect("healthz body");
+    let metrics = text.find("\"accepted_total\"").expect("metrics body");
+    assert!(
+        health < metrics,
+        "responses must come back in request order"
+    );
+    assert_eq!(worker.metrics().read_error_total.get(), 0);
+    worker.request_shutdown();
+    worker.wait();
+    std::fs::remove_dir_all(&dir).ok();
 }

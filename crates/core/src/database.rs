@@ -684,21 +684,6 @@ impl RetrievalDatabase {
             .collect())
     }
 
-    /// The first `k` entries of the full ranking over `candidates`.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::IndexOutOfBounds`] if any candidate index is
-    /// invalid.
-    #[deprecated(note = "use `rank` with `RankRequest::over(candidates).top(k)`")]
-    pub fn rank_top_k(
-        &self,
-        concept: &Concept,
-        candidates: &[usize],
-        k: usize,
-    ) -> Result<Ranking, CoreError> {
-        self.rank_candidates(concept, candidates, Some(k), 0, BagAggregator::MinDistance)
-    }
-
     /// Indices of all images carrying `category`, in index order.
     pub fn category_members(&self, category: usize) -> Vec<usize> {
         (0..self.len())
@@ -1194,24 +1179,5 @@ mod tests {
             )
             .unwrap();
         assert_ne!(min, gm, "keys must differ even if order coincides");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_rank_top_k_shim_matches_the_request_path() {
-        let d = db();
-        let target: Vec<f64> = d
-            .bag(2)
-            .unwrap()
-            .instance(0)
-            .iter()
-            .map(|&v| f64::from(v))
-            .collect();
-        let concept = Concept::new(target, vec![1.0; d.feature_dim()]);
-        let candidates: Vec<usize> = (0..d.len()).collect();
-        assert_eq!(
-            d.rank_top_k(&concept, &candidates, 4).unwrap(),
-            d.rank(&concept, &RankRequest::all().top(4)).unwrap()
-        );
     }
 }

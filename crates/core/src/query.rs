@@ -350,52 +350,6 @@ impl<'a> QuerySession<'a> {
         }
     }
 
-    /// Opens a session for `target` category with an explicit
-    /// pool / test split (both are database indices).
-    ///
-    /// # Errors
-    /// Same as [`QueryBuilder::build`].
-    #[deprecated(
-        note = "use `QuerySession::builder(db).config(c).target(t).pool(p).test(s).build()`"
-    )]
-    pub fn new(
-        db: impl Into<Shared<'a, dyn Corpus + 'a>>,
-        config: impl Into<Shared<'a, RetrievalConfig>>,
-        target: usize,
-        pool: Vec<usize>,
-        test: Vec<usize>,
-    ) -> Result<Self, CoreError> {
-        Self::builder(db)
-            .config(config)
-            .target(target)
-            .pool(pool)
-            .test(test)
-            .build()
-    }
-
-    /// Opens a session from *explicit* example marks instead of a target
-    /// category — the interactive server path.
-    ///
-    /// # Errors
-    /// Same as [`QueryBuilder::build`].
-    #[deprecated(
-        note = "use `QuerySession::builder(db).config(c).positives(p).negatives(n).pool(pool).build()`"
-    )]
-    pub fn from_examples(
-        db: impl Into<Shared<'a, dyn Corpus + 'a>>,
-        config: impl Into<Shared<'a, RetrievalConfig>>,
-        positives: Vec<usize>,
-        negatives: Vec<usize>,
-        pool: Vec<usize>,
-    ) -> Result<Self, CoreError> {
-        Self::builder(db)
-            .config(config)
-            .positives(positives)
-            .negatives(negatives)
-            .pool(pool)
-            .build()
-    }
-
     /// The target category ([`None`] for sessions opened from explicit
     /// example marks).
     pub fn target(&self) -> Option<usize> {
@@ -449,15 +403,6 @@ impl<'a> QuerySession<'a> {
         self.nldd = nldd;
         self.rounds_run += 1;
         Ok(())
-    }
-
-    /// Adopts a previously trained concept.
-    ///
-    /// # Errors
-    /// Same as [`Self::adopt_concept`].
-    #[deprecated(note = "renamed to `adopt_concept` (or `QueryBuilder::concept` at construction)")]
-    pub fn install_concept(&mut self, concept: Arc<Concept>, nldd: f64) -> Result<(), CoreError> {
-        self.adopt_concept(concept, nldd)
     }
 
     /// `−log DD` of the current concept (infinite before training).
@@ -607,34 +552,6 @@ impl<'a> QuerySession<'a> {
             request.threads,
             request.aggregator,
         )
-    }
-
-    /// Ranks the pool with the current concept.
-    ///
-    /// # Errors
-    /// [`CoreError::NotTrained`] before the first round.
-    #[deprecated(note = "use `rank` with `RankRequest::pool()`")]
-    pub fn rank_pool(&self) -> Result<Ranking, CoreError> {
-        self.rank(&self.request(RankScope::Pool))
-    }
-
-    /// The first `k` entries of the pool ranking, using the pruned
-    /// bounded scorer (identical output, less work).
-    ///
-    /// # Errors
-    /// [`CoreError::NotTrained`] before the first round.
-    #[deprecated(note = "use `rank` with `RankRequest::pool().top(k)`")]
-    pub fn rank_pool_top_k(&self, k: usize) -> Result<Ranking, CoreError> {
-        self.rank(&self.request(RankScope::Pool).top(k))
-    }
-
-    /// Ranks the test set with the current concept.
-    ///
-    /// # Errors
-    /// [`CoreError::NotTrained`] before the first round.
-    #[deprecated(note = "use `rank` with `RankRequest::test()`")]
-    pub fn rank_test(&self) -> Result<Ranking, CoreError> {
-        self.rank(&self.request(RankScope::Test))
     }
 
     /// Marks database images as positive examples (a user's explicit
@@ -1410,70 +1327,6 @@ mod tests {
             session.rank(&RankRequest::over(vec![99])),
             Err(CoreError::IndexOutOfBounds { .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_construction_and_rank_shims_match_the_builder() {
-        let db = database();
-        let cfg = config();
-        let pool = vec![0, 1, 2, 6, 7, 8];
-        let test = vec![3, 4, 5, 9, 10, 11];
-
-        // `new` == builder with a target.
-        let via_new = QuerySession::new(&db, &cfg, 0, pool.clone(), test.clone()).unwrap();
-        let via_builder = QuerySession::builder(&db)
-            .config(&cfg)
-            .target(0)
-            .pool(pool.clone())
-            .test(test.clone())
-            .build()
-            .unwrap();
-        assert_eq!(via_new.positives(), via_builder.positives());
-        assert_eq!(via_new.negatives(), via_builder.negatives());
-
-        // `from_examples` == builder with explicit marks; the rank shims
-        // match the request entry point exactly.
-        let mut old =
-            QuerySession::from_examples(&db, &cfg, vec![0, 1], vec![6, 7], pool.clone()).unwrap();
-        let mut new = QuerySession::builder(&db)
-            .config(&cfg)
-            .positives(vec![0, 1])
-            .negatives(vec![6, 7])
-            .pool(pool)
-            .build()
-            .unwrap();
-        old.train_round().unwrap();
-        new.train_round().unwrap();
-        assert_eq!(
-            old.rank_pool().unwrap(),
-            new.rank(&RankRequest::pool()).unwrap()
-        );
-        assert_eq!(
-            old.rank_pool_top_k(3).unwrap(),
-            new.rank(&RankRequest::pool().top(3)).unwrap()
-        );
-        assert_eq!(
-            old.rank_test().unwrap(),
-            new.rank(&RankRequest::test()).unwrap()
-        );
-
-        // `install_concept` == `adopt_concept`.
-        let concept = old.shared_concept().unwrap();
-        let mut a = QuerySession::builder(&db)
-            .positives(vec![0])
-            .build()
-            .unwrap();
-        let mut b = QuerySession::builder(&db)
-            .positives(vec![0])
-            .build()
-            .unwrap();
-        a.install_concept(Arc::clone(&concept), old.nldd()).unwrap();
-        b.adopt_concept(concept, old.nldd()).unwrap();
-        assert_eq!(
-            a.rank(&RankRequest::all()).unwrap(),
-            b.rank(&RankRequest::all()).unwrap()
-        );
     }
 
     #[test]

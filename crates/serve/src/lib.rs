@@ -7,8 +7,11 @@
 //! dependencies) exposing the Diverse Density retrieval engine of
 //! `milr-core` as a session-based relevance-feedback service.
 //!
-//! * [`server::Server`] — accept loop, bounded worker pool with
-//!   load shedding, routing, graceful drain.
+//! * [`node`] — the connection front end every milrd role serves
+//!   through: bounded accept queue with load shedding, keep-alive and
+//!   pipelining, per-request panic isolation, graceful drain.
+//! * [`server::Server`] — the single-node daemon: routing and request
+//!   handlers on that front end.
 //! * [`sessions`] — TTL/capacity-bounded store of live feedback
 //!   sessions.
 //! * [`cache`] — LRU concept cache: deterministic training means equal
@@ -18,8 +21,8 @@
 //!   unified `milr-obs` registry, behind `GET /metrics`.
 //! * [`client`] — the blocking client used by tests and `loadgen`.
 //!
-//! The protocol (all responses JSON unless noted, one request per
-//! connection):
+//! The protocol (all responses JSON unless noted; HTTP/1.1 keep-alive
+//! and pipelining, up to `keepalive_requests` requests per connection):
 //!
 //! | Route | Meaning |
 //! |---|---|
@@ -42,6 +45,7 @@ pub mod client;
 pub mod http;
 pub mod json;
 pub mod metrics;
+pub mod node;
 pub mod server;
 pub mod sessions;
 

@@ -134,7 +134,7 @@ impl EndpointStats {
 ///
 /// ```text
 /// accepted_total == completed_total + read_error_total
-///                   + closed_total + deadline_shed_total
+///                   + closed_total + deadline_shed_total + panicked_total
 /// ```
 ///
 /// (`shed_total` counts connections refused *before* admission and sits
@@ -157,6 +157,9 @@ pub struct Metrics {
     /// Requests refused with `503` because they overstayed the handle
     /// deadline while queued.
     pub deadline_shed_total: Arc<obs::Counter>,
+    /// Admitted connections whose request handler panicked — each was
+    /// answered `500` and closed; the handler thread serves on.
+    pub panicked_total: Arc<obs::Counter>,
     /// Requests served on an already-used keep-alive connection (the
     /// second and every later request on one socket). Sits outside the
     /// conservation identity: reuse is per *request*, the identity per
@@ -198,6 +201,7 @@ impl Default for Metrics {
             closed_total: outcome("closed"),
             shed_total: outcome("shed"),
             deadline_shed_total: outcome("deadline_shed"),
+            panicked_total: outcome("panicked"),
             keepalive_reused_total: registry.counter("milrd_keepalive_reused_total"),
             priority_shed_total: registry.counter("milrd_priority_shed_total"),
             batch_formed_total: registry.counter("milrd_batch_formed_total"),
@@ -255,8 +259,27 @@ impl Metrics {
         let resolved = self.completed_total.get()
             + self.read_error_total.get()
             + self.closed_total.get()
-            + self.deadline_shed_total.get();
+            + self.deadline_shed_total.get()
+            + self.panicked_total.get();
         accepted == resolved
+    }
+
+    /// The connection counters as `/metrics` JSON fields, shared by
+    /// every role's metrics document.
+    pub fn connection_fields(&self) -> Vec<(String, Json)> {
+        [
+            ("accepted_total", &self.accepted_total),
+            ("completed_total", &self.completed_total),
+            ("read_error_total", &self.read_error_total),
+            ("closed_total", &self.closed_total),
+            ("panicked_total", &self.panicked_total),
+            ("shed_total", &self.shed_total),
+            ("deadline_shed_total", &self.deadline_shed_total),
+            ("keepalive_reused_total", &self.keepalive_reused_total),
+        ]
+        .into_iter()
+        .map(|(name, counter)| (name.to_string(), Json::num(counter.get() as f64)))
+        .collect()
     }
 
     /// Total requests recorded across all endpoints.
@@ -345,12 +368,14 @@ mod tests {
     fn connection_conservation_law() {
         let m = Metrics::default();
         assert!(m.connections_balanced(), "empty registry balances");
-        m.accepted_total.add(5);
+        m.accepted_total.add(6);
         assert!(!m.connections_balanced(), "in-flight connections imbalance");
         m.completed_total.add(2);
         m.read_error_total.add(1);
         m.closed_total.add(1);
+        assert!(!m.connections_balanced());
         m.deadline_shed_total.add(1);
+        m.panicked_total.add(1);
         assert!(m.connections_balanced(), "every outcome counted once");
         // Pre-admission sheds sit outside the identity.
         m.shed_total.add(10);

@@ -1,25 +1,13 @@
-//! The retrieval daemon: accept loop, bounded worker pool, routing, and
-//! request handlers.
+//! The retrieval daemon: routing and request handlers, served through
+//! the shared connection front end of [`crate::node`] (bounded accept
+//! queue, keep-alive loop, graceful drain).
 //!
-//! Concurrency model — one acceptor thread and `workers` handler
-//! threads around a bounded queue:
-//!
-//! * the acceptor pushes `(connection, enqueued_at)` and sheds with an
-//!   immediate `503` once the queue is `queue_depth` deep;
-//! * workers pop, and first check how long the connection waited — one
-//!   that overstayed `handle_deadline` is answered `503` without paying
-//!   for training (the client has likely timed out already);
-//! * a worker then serves the connection's whole keep-alive life
-//!   (pipelined requests included), but answers `Connection: close` the
-//!   moment other connections are queued — a pinned worker must never
-//!   starve waiting clients — or once `keepalive_requests` are served;
-//! * under overload (queue past `priority_shed_fill`), uncached
-//!   train-heavy rank/feedback requests are shed with `503` first;
-//!   cached ranks are cheap and keep flowing;
-//! * every socket carries read/write deadlines, so a stalled peer costs
-//!   a worker at most the timeout, never forever;
-//! * shutdown is graceful: the flag flips, the acceptor is unblocked by
-//!   a self-connection, workers drain the queue and exit.
+//! The daemon adds three things to the front end: a per-connection
+//! request cap (`keepalive_requests`, 0 disables keep-alive) with its
+//! own `idle_timeout`; priority shedding — under overload (the
+//! `queue_depth` gauge past `priority_shed_fill`), uncached train-heavy
+//! rank/feedback requests are shed with `503` first while cached ranks
+//! keep flowing; and an idle tick that sweeps expired sessions.
 //!
 //! All request state lives in the private `Daemon` struct: the current
 //! snapshot **epoch** (opened store + generation, swapped atomically by
@@ -33,12 +21,10 @@
 //! opened, a monolithic one as a one-shard in-memory store. Clients
 //! address the store's live (tombstone-compressed) index space.
 
-use std::collections::VecDeque;
-use std::io::Read;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -53,9 +39,10 @@ use milr_store::ShardedDatabase;
 use crate::base64;
 use crate::batch::RankBatcher;
 use crate::cache::{CachedConcept, ConceptCache, ConceptKey};
-use crate::http::{self, ReadError, Request};
+use crate::http::{self, Request};
 use crate::json::Json;
 use crate::metrics::Metrics;
+use crate::node::{Action, IdleTick, LoopConfig, Node, NodeOptions, Reply};
 use crate::sessions::SessionStore;
 
 /// Everything tunable about the daemon.
@@ -168,6 +155,25 @@ impl Default for ServeOptions {
     }
 }
 
+impl From<&ServeOptions> for LoopConfig {
+    fn from(options: &ServeOptions) -> Self {
+        Self {
+            node: NodeOptions {
+                addr: options.addr.clone(),
+                workers: options.workers,
+                queue_depth: options.queue_depth,
+                read_timeout: options.read_timeout,
+                handle_deadline: options.handle_deadline,
+                keepalive_burst: options.keepalive_burst,
+                keepalive_turn: options.keepalive_turn,
+                max_body: options.max_body,
+            },
+            keepalive_requests: options.keepalive_requests,
+            idle_timeout: options.idle_timeout,
+        }
+    }
+}
+
 /// Parses a policy spec (`original | identical | alpha:A | constraint:B`
 /// — the same grammar as the CLI).
 ///
@@ -233,26 +239,16 @@ struct Daemon {
     epoch: Mutex<Arc<Epoch>>,
     config: Arc<RetrievalConfig>,
     options: ServeOptions,
-    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
-    queue_cv: Condvar,
-    shutdown: AtomicBool,
-    metrics: Metrics,
+    /// Stops the snapshot watcher; set when a drain begins.
+    stop: AtomicBool,
+    metrics: Arc<Metrics>,
     batcher: RankBatcher,
     cache: Mutex<ConceptCache>,
     sessions: SessionStore,
-    local_addr: SocketAddr,
     started: Instant,
 }
 
 impl Daemon {
-    fn request_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            self.queue_cv.notify_all();
-            // Unblock the acceptor with a throwaway connection.
-            let _ = TcpStream::connect(self.local_addr);
-        }
-    }
-
     /// The epoch currently serving. One pointer clone; the caller works
     /// against this epoch for its whole request, immune to concurrent
     /// swaps.
@@ -308,10 +304,9 @@ impl Daemon {
 
 /// A running daemon: handle for address discovery and shutdown.
 pub struct Server {
+    node: Node,
     daemon: Arc<Daemon>,
-    acceptor: Option<JoinHandle<()>>,
     watcher: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 /// Refuses a store whose recorded feature backend is not the one the
@@ -361,12 +356,7 @@ impl Server {
             return Err("at least one worker thread is required".into());
         }
         options.retrieval.validate()?;
-        let listener = TcpListener::bind(&options.addr)
-            .map_err(|e| format!("cannot bind {}: {e}", options.addr))?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| format!("cannot read bound address: {e}"))?;
-        let metrics = Metrics::default();
+        let metrics = Arc::new(Metrics::default());
         metrics.snapshot_generation.set(store.generation() as f64);
         metrics.snapshot_shards.set(store.shard_count() as f64);
         let generation = store.generation();
@@ -375,31 +365,24 @@ impl Server {
             config: Arc::new(options.retrieval.clone()),
             cache: Mutex::new(ConceptCache::new(options.cache_capacity)),
             sessions: SessionStore::new(options.session_ttl, options.session_capacity),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            metrics,
+            stop: AtomicBool::new(false),
+            metrics: Arc::clone(&metrics),
             batcher: RankBatcher::new(),
-            local_addr,
             started: Instant::now(),
             options,
         });
-        let workers = (0..daemon.options.workers)
-            .map(|i| {
-                let daemon = Arc::clone(&daemon);
-                std::thread::Builder::new()
-                    .name(format!("milrd-worker-{i}"))
-                    .spawn(move || worker_loop(&daemon))
-                    .map_err(|e| format!("cannot spawn worker: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let acceptor = {
+        let router = {
             let daemon = Arc::clone(&daemon);
-            std::thread::Builder::new()
-                .name("milrd-accept".into())
-                .spawn(move || accept_loop(&daemon, &listener))
-                .map_err(|e| format!("cannot spawn acceptor: {e}"))?
+            Box::new(move |req: &Request| route(&daemon, req))
         };
+        let sweep: Box<IdleTick> = {
+            let daemon = Arc::clone(&daemon);
+            Box::new(move || {
+                daemon.sessions.sweep();
+            })
+        };
+        let node = Node::spawn((&daemon.options).into(), metrics, router, Some(sweep))
+            .map_err(|e| format!("cannot bind {}: {e}", daemon.options.addr))?;
         let watcher = if daemon.options.watch_snapshot && daemon.options.snapshot_path.is_some() {
             let daemon = Arc::clone(&daemon);
             Some(
@@ -412,112 +395,31 @@ impl Server {
             None
         };
         Ok(Server {
+            node,
             daemon,
-            acceptor: Some(acceptor),
             watcher,
-            workers,
         })
     }
 
     /// The address actually bound (resolves port `0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.daemon.local_addr
+        self.node.addr()
     }
 
     /// Begins a graceful drain: stop accepting, finish queued requests.
     /// Idempotent; also triggered by `POST /admin/shutdown`.
     pub fn shutdown(&self) {
-        self.daemon.request_shutdown();
+        self.daemon.stop.store(true, Ordering::SeqCst);
+        self.node.request_shutdown();
     }
 
     /// Blocks until the acceptor and every worker have exited (i.e.
     /// until someone calls [`Self::shutdown`] or posts
     /// `/admin/shutdown`, and the queue has drained).
     pub fn wait(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.node.wait();
         if let Some(watcher) = self.watcher.take() {
             let _ = watcher.join();
-        }
-    }
-}
-
-fn accept_loop(daemon: &Daemon, listener: &TcpListener) {
-    loop {
-        let Ok((stream, _peer)) = listener.accept() else {
-            if daemon.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
-        if daemon.shutdown.load(Ordering::SeqCst) {
-            return; // the unblocking self-connection, or a late client
-        }
-        let _ = stream.set_read_timeout(Some(daemon.options.read_timeout));
-        let _ = stream.set_write_timeout(Some(daemon.options.read_timeout));
-        // Keep-alive turns this into a request/response ping-pong socket;
-        // without NODELAY, Nagle + delayed ACK stalls every small
-        // response ~40ms.
-        let _ = stream.set_nodelay(true);
-        let mut queue = daemon.queue.lock().expect("accept queue mutex");
-        if queue.len() >= daemon.options.queue_depth {
-            drop(queue);
-            daemon.metrics.shed_total.inc();
-            // Answer on a throwaway thread: the acceptor must never block
-            // on a slow peer, and the socket has to be drained after the
-            // 503 (see `drain_before_close`) or the client may lose the
-            // response to an RST.
-            let mut stream = stream;
-            std::thread::spawn(move || {
-                let _ = http::respond_json(
-                    &mut stream,
-                    503,
-                    &http::error_body("server saturated; request shed"),
-                );
-                drain_before_close(&mut stream);
-            });
-            continue;
-        }
-        queue.push_back((stream, Instant::now()));
-        daemon.metrics.set_queue_depth(queue.len());
-        drop(queue);
-        daemon.metrics.accepted_total.inc();
-        daemon.queue_cv.notify_one();
-    }
-}
-
-fn worker_loop(daemon: &Daemon) {
-    loop {
-        let job = {
-            let mut queue = daemon.queue.lock().expect("accept queue mutex");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    daemon.metrics.set_queue_depth(queue.len());
-                    break Some(job);
-                }
-                if daemon.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, wait) = daemon
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .expect("accept queue mutex");
-                queue = guard;
-                if wait.timed_out() {
-                    // Idle tick: drop the lock and evict expired sessions.
-                    drop(queue);
-                    daemon.sessions.sweep();
-                    queue = daemon.queue.lock().expect("accept queue mutex");
-                }
-            }
-        };
-        match job {
-            Some((stream, enqueued)) => handle_connection(daemon, stream, enqueued),
-            None => return,
         }
     }
 }
@@ -537,7 +439,7 @@ fn watch_loop(daemon: &Daemon) {
     };
     let mtime = |p: &std::path::Path| std::fs::metadata(p).and_then(|m| m.modified()).ok();
     let mut last = mtime(&watched);
-    while !daemon.shutdown.load(Ordering::SeqCst) {
+    while !daemon.stop.load(Ordering::SeqCst) {
         std::thread::sleep(daemon.options.watch_interval);
         let current = mtime(&watched);
         if current.is_some() && current != last {
@@ -555,158 +457,38 @@ fn watch_loop(daemon: &Daemon) {
     }
 }
 
-/// Serves one connection for its whole life: a keep-alive loop reading
-/// pipelined requests until the client closes, asks to close, idles
-/// past `idle_timeout`, hits the per-connection request cap, or other
-/// connections are waiting in the accept queue (a pinned worker would
-/// starve them, so the daemon answers `Connection: close` and frees
-/// itself).
+/// Dispatches one parsed request. Returns the endpoint label — it keys
+/// the metrics registry, so dynamic path segments collapse into
+/// placeholders — and what the front end should do.
 ///
-/// Connection accounting resolves each admitted connection **exactly
-/// once** so the chaos conservation law keeps balancing:
-/// * `completed` — served at least one request and ended cleanly (peer
-///   EOF or idle expiry after a response, `Connection: close`, cap,
-///   shutdown, or a failed response write);
-/// * `closed` — the peer vanished before sending any request;
-/// * `read_error` — a malformed/oversized/timed-out *first* read, or a
-///   parse failure mid-connection before any request succeeded;
-/// * `deadline_shed` — overstayed the queue.
-fn handle_connection(daemon: &Daemon, mut stream: TcpStream, enqueued: Instant) {
-    if enqueued.elapsed() > daemon.options.handle_deadline {
-        daemon.metrics.deadline_shed_total.inc();
-        let _ = http::respond_json(
-            &mut stream,
-            503,
-            &http::error_body("request overstayed the queue deadline"),
-        );
-        drain_before_close(&mut stream);
-        return;
-    }
-    let mut pending = Vec::new();
-    let mut served = 0usize;
-    let turn_started = Instant::now();
-    loop {
-        let started = Instant::now();
-        let request =
-            match http::read_request_buffered(&mut stream, &mut pending, daemon.options.max_body) {
-                Ok(request) => request,
-                Err(ReadError::Closed) => {
-                    if served > 0 {
-                        daemon.metrics.completed_total.inc();
-                    } else {
-                        daemon.metrics.closed_total.inc();
-                    }
-                    return;
-                }
-                Err(ReadError::Timeout) if served > 0 => {
-                    // Idle expiry after at least one response is the
-                    // normal end of a keep-alive connection, not an
-                    // error.
-                    daemon.metrics.completed_total.inc();
-                    drain_before_close(&mut stream);
-                    return;
-                }
-                Err(err) => {
-                    let (status, message) = match err {
-                        ReadError::Timeout => (408, "timed out reading the request".to_string()),
-                        ReadError::HeadTooLarge => (431, "request head too large".to_string()),
-                        ReadError::BodyTooLarge => (413, "request body too large".to_string()),
-                        ReadError::Malformed(m) => (400, m),
-                        ReadError::Closed => unreachable!("handled above"),
-                    };
-                    let us = started.elapsed().as_micros() as u64;
-                    daemon.metrics.record("(unreadable)", status, us);
-                    daemon.metrics.read_error_total.inc();
-                    let _ = http::respond_json(&mut stream, status, &http::error_body(message));
-                    drain_before_close(&mut stream);
-                    return;
-                }
-            };
-        if served > 0 {
-            daemon.metrics.keepalive_reused_total.inc();
-        }
-        let (endpoint, status, body) = {
-            let _span = milr_obs::span::enter("serve.request");
-            route(daemon, &request)
-        };
-        served += 1;
-        // Yield policy: pipelined bytes are always finished first; at
-        // each burst boundary — every `keepalive_burst` requests, or
-        // any response once the connection has consumed a turn quantum
-        // of worker time (one cold train blows the quantum on its own)
-        // — the worker closes if other connections wait in the accept
-        // queue, so a busy client amortises dials without ever starving
-        // the queue.
-        let at_burst_boundary = served.is_multiple_of(daemon.options.keepalive_burst.max(1))
-            || turn_started.elapsed() >= daemon.options.keepalive_turn;
-        let keep = daemon.options.keepalive_requests > 0
-            && served < daemon.options.keepalive_requests
-            && !request.wants_close()
-            && !daemon.shutdown.load(Ordering::SeqCst)
-            && (!pending.is_empty()
-                || !at_burst_boundary
-                || daemon.queue.lock().expect("accept queue mutex").is_empty());
-        let us = started.elapsed().as_micros() as u64;
-        daemon.metrics.record(endpoint, status, us);
-        let io = match &body {
-            Payload::Json(json) => http::respond_json_conn(&mut stream, status, json, keep),
-            Payload::Text(text) => http::respond_bytes(
-                &mut stream,
-                status,
+/// `GET /metrics?format=prometheus` is the one non-JSON route and
+/// `POST /admin/shutdown` the one that drains; everything else
+/// delegates to [`route_json`].
+fn route(daemon: &Daemon, req: &Request) -> (&'static str, Action) {
+    match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/metrics") if req.query_param("format") == Some("prometheus") => (
+            "/metrics",
+            Action::Reply(Reply::bytes(
+                200,
                 "text/plain; version=0.0.4; charset=utf-8",
-                text.as_bytes(),
-                keep,
-            ),
-        };
-        if io.is_err() || !keep {
-            daemon.metrics.completed_total.inc();
-            drain_before_close(&mut stream);
-            return;
+                metrics_prometheus(daemon).into_bytes(),
+            )),
+        ),
+        ("POST", "/admin/shutdown") => {
+            daemon.stop.store(true, Ordering::SeqCst);
+            (
+                "/admin/shutdown",
+                Action::Shutdown(Reply::json(
+                    200,
+                    Json::Obj(vec![("draining".into(), Json::Bool(true))]),
+                )),
+            )
         }
-        let _ = stream.set_read_timeout(Some(daemon.options.idle_timeout));
-    }
-}
-
-/// Consumes (bounded) whatever the peer already sent before the socket
-/// closes. Required on every path that responds without reading the
-/// full request: closing with unread bytes in the receive buffer makes
-/// the kernel send an RST, which can discard the in-flight response
-/// before the client reads it — a shed would then look like a
-/// connection reset instead of a clean `503`.
-fn drain_before_close(stream: &mut TcpStream) {
-    let _ = stream.shutdown(Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let mut sink = [0u8; 4096];
-    for _ in 0..16 {
-        match stream.read(&mut sink) {
-            Ok(n) if n > 0 => continue,
-            _ => break,
+        _ => {
+            let (endpoint, status, json) = route_json(daemon, req);
+            (endpoint, Action::Reply(Reply::json(status, json)))
         }
     }
-}
-
-/// A response body: JSON for the protocol proper, plain text for the
-/// Prometheus `/metrics` exposition.
-enum Payload {
-    Json(Json),
-    Text(String),
-}
-
-/// Dispatches one parsed request. Returns `(endpoint label, status,
-/// body)`; the label keys the metrics registry, so dynamic path segments
-/// collapse into placeholders.
-///
-/// `GET /metrics?format=prometheus` is the one non-JSON route; everything
-/// else delegates to [`route_json`].
-fn route(daemon: &Daemon, req: &Request) -> (&'static str, u16, Payload) {
-    if req.method == "GET"
-        && req.path == "/metrics"
-        && req.query_param("format") == Some("prometheus")
-    {
-        return ("/metrics", 200, Payload::Text(metrics_prometheus(daemon)));
-    }
-    let (endpoint, status, json) = route_json(daemon, req);
-    (endpoint, status, Payload::Json(json))
 }
 
 fn route_json(daemon: &Daemon, req: &Request) -> (&'static str, u16, Json) {
@@ -731,14 +513,6 @@ fn route_json(daemon: &Daemon, req: &Request) -> (&'static str, u16, Json) {
         ("POST", "/snapshot/reload") => {
             let (status, body) = handle_reload(daemon);
             ("/snapshot/reload", status, body)
-        }
-        ("POST", "/admin/shutdown") => {
-            daemon.request_shutdown();
-            (
-                "/admin/shutdown",
-                200,
-                Json::Obj(vec![("draining".into(), Json::Bool(true))]),
-            )
         }
         ("GET", "/debug/sleep") if daemon.options.debug_endpoints => {
             let ms = req
@@ -921,7 +695,7 @@ fn metrics_json(daemon: &Daemon) -> Json {
             Json::num(sessions.evicted_total as f64),
         ),
     ]);
-    Json::Obj(vec![
+    let mut fields = vec![
         (
             "uptime_s".into(),
             Json::num(daemon.started.elapsed().as_secs_f64()),
@@ -930,34 +704,9 @@ fn metrics_json(daemon: &Daemon) -> Json {
             "requests_total".into(),
             Json::num(daemon.metrics.total_requests() as f64),
         ),
-        (
-            "accepted_total".into(),
-            Json::num(daemon.metrics.accepted_total.get() as f64),
-        ),
-        (
-            "completed_total".into(),
-            Json::num(daemon.metrics.completed_total.get() as f64),
-        ),
-        (
-            "read_error_total".into(),
-            Json::num(daemon.metrics.read_error_total.get() as f64),
-        ),
-        (
-            "closed_total".into(),
-            Json::num(daemon.metrics.closed_total.get() as f64),
-        ),
-        (
-            "shed_total".into(),
-            Json::num(daemon.metrics.shed_total.get() as f64),
-        ),
-        (
-            "deadline_shed_total".into(),
-            Json::num(daemon.metrics.deadline_shed_total.get() as f64),
-        ),
-        (
-            "keepalive_reused_total".into(),
-            Json::num(daemon.metrics.keepalive_reused_total.get() as f64),
-        ),
+    ];
+    fields.extend(daemon.metrics.connection_fields());
+    fields.extend([
         (
             "priority_shed_total".into(),
             Json::num(daemon.metrics.priority_shed_total.get() as f64),
@@ -992,7 +741,8 @@ fn metrics_json(daemon: &Daemon) -> Json {
         ("rank".into(), crate::metrics::rank_counters_json()),
         ("train".into(), crate::metrics::train_counters_json()),
         ("endpoints".into(), daemon.metrics.endpoints_json()),
-    ])
+    ]);
+    Json::Obj(fields)
 }
 
 /// Prometheus text exposition: the daemon's own registry (connection
@@ -1129,13 +879,12 @@ fn config_for_policy(
 }
 
 /// Whether the accept queue is deep enough that train-heavy work should
-/// be shed. The threshold is a fill ratio of `queue_depth`; anything
-/// above 1.0 can never trip because the acceptor sheds at full depth.
+/// be shed, read off the front end's `queue_depth` gauge. The threshold
+/// is a fill ratio of `queue_depth`; anything above 1.0 can never trip
+/// because the acceptor sheds at full depth.
 fn priority_overloaded(daemon: &Daemon) -> bool {
-    let threshold =
-        (daemon.options.priority_shed_fill * daemon.options.queue_depth as f64).ceil() as usize;
-    let depth = daemon.queue.lock().expect("accept queue mutex").len();
-    depth >= threshold.max(1)
+    let threshold = (daemon.options.priority_shed_fill * daemon.options.queue_depth as f64).ceil();
+    daemon.metrics.queue_depth.get() >= threshold.max(1.0)
 }
 
 /// The uniform `503` for a train-heavy request shed under overload.

@@ -1314,3 +1314,32 @@ fn pipelined_requests_get_ordered_responses_on_one_socket() {
     );
     daemon.drain();
 }
+
+#[test]
+fn endpoint_latency_excludes_keepalive_idle_time() {
+    // Two requests on one kept-alive socket with a 500 ms pause between
+    // them: the pause is the client's think time, not the daemon's, so
+    // the endpoint histogram must not see it.
+    let snapshot = snapshot_path("idle_latency", 24);
+    let daemon = Daemon::spawn(&snapshot, &[]);
+    let mut conn = client::Connection::new(daemon.addr, TIMEOUT);
+    assert_eq!(conn.get("/healthz").expect("first healthz").status, 200);
+    std::thread::sleep(Duration::from_millis(500));
+    assert_eq!(conn.get("/healthz").expect("second healthz").status, 200);
+    assert_eq!(conn.dials(), 1, "both requests share one socket");
+    drop(conn);
+
+    let metrics = daemon.get("/metrics").json().unwrap();
+    let max_us = metrics
+        .get("endpoints")
+        .and_then(|e| e.get("/healthz"))
+        .and_then(|h| h.get("latency"))
+        .and_then(|l| l.get("max_us"))
+        .and_then(Json::as_u64)
+        .expect("/healthz latency max_us");
+    assert!(
+        max_us < 250_000,
+        "/healthz max latency {max_us} us includes the keep-alive idle wait"
+    );
+    daemon.drain();
+}

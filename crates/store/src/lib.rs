@@ -193,7 +193,7 @@ pub struct ShardedDatabase {
 ///
 /// Public because the same argument distributes: a cluster coordinator
 /// may seed a worker's scan with the k-th-best distance gathered from
-/// *other* workers (see [`ShardSubset::rank_top_k`]) — as long as the
+/// *other* workers (see [`ShardSubset::rank_top_k_with`]) — as long as the
 /// seed is backed by `k` real candidates that are themselves part of
 /// the final merge, pruning against it stays ranking-neutral.
 #[derive(Debug)]
@@ -1068,7 +1068,7 @@ fn scope_candidates(scope: &RankScope) -> Result<Option<&[usize]>, CoreError> {
 /// Folds every per-shard scan's counters into the observability
 /// registry — screen, threshold, and coarse-index accounting alike —
 /// and hands back the rankings plus the total tightenings (which
-/// [`ShardSubset::rank_top_k`] also reports to its caller).
+/// [`ShardSubset::rank_top_k_with`] also reports to its caller).
 fn fold_scan_counters(scans: Vec<ShardScan>) -> (Vec<Ranking>, u64) {
     let mut stats = ScreenStats::default();
     let mut tightenings = 0u64;
@@ -1783,7 +1783,7 @@ fn load_manifest_shard(
     })
 }
 
-/// A top-k ranking produced by [`ShardSubset::rank_top_k`], plus the
+/// A top-k ranking produced by [`ShardSubset::rank_top_k_with`], plus the
 /// counters the caller folds into its own accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubsetRanking {
@@ -1925,27 +1925,7 @@ impl ShardSubset {
     /// part of the final merge, every pruned bag is provably outside
     /// the merged top-k.
     ///
-    /// # Errors
-    /// [`CoreError::Mil`] on a concept dimension mismatch.
-    #[deprecated(note = "use `rank_top_k_with` with an explicit `BagAggregator`")]
-    pub fn rank_top_k(
-        &self,
-        concept: &Concept,
-        k: usize,
-        initial_bound: f64,
-        threads: usize,
-    ) -> Result<SubsetRanking, CoreError> {
-        self.rank_top_k_with(
-            concept,
-            k,
-            initial_bound,
-            threads,
-            BagAggregator::MinDistance,
-        )
-    }
-
-    /// [`Self::rank_top_k`] under an explicit [`BagAggregator`]. The
-    /// default min-distance aggregator runs the pruned, screened,
+    /// The default min-distance aggregator runs the pruned, screened,
     /// indexed scan; any other aggregator takes the exact per-bag fold
     /// (no screen, no index, no shared-bound pruning — see
     /// [`BagAggregator::fold`]), so a coordinator-seeded `initial_bound`

@@ -15,11 +15,13 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
 use milr::core::eval;
 use milr::imgproc::{pnm, smooth_sample, GrayImage};
 use milr::mil::WeightPolicy;
 use milr::prelude::*;
+use milr::serve::parse_policy;
 use milr::synth::database::LabelledImages;
 
 fn main() -> ExitCode {
@@ -98,22 +100,40 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-fn parse_policy(spec: &str) -> Result<WeightPolicy, String> {
-    if spec == "original" {
-        return Ok(WeightPolicy::OriginalDd);
+/// Parses `--name VALUE` into `slot` when the flag is present.
+fn set_flag<T: std::str::FromStr>(args: &[String], name: &str, slot: &mut T) -> Result<(), String> {
+    if let Some(text) = flag(args, name) {
+        *slot = text
+            .parse()
+            .map_err(|_| format!("invalid {name} {text:?}"))?;
     }
-    if spec == "identical" {
-        return Ok(WeightPolicy::Identical);
-    }
-    if let Some(a) = spec.strip_prefix("alpha:") {
-        let alpha: f64 = a.parse().map_err(|_| format!("bad alpha in {spec:?}"))?;
-        return Ok(WeightPolicy::AlphaHack { alpha });
-    }
-    if let Some(b) = spec.strip_prefix("constraint:") {
-        let beta: f64 = b.parse().map_err(|_| format!("bad beta in {spec:?}"))?;
-        return Ok(WeightPolicy::SumConstraint { beta });
-    }
-    Err(format!("unknown policy {spec:?}"))
+    Ok(())
+}
+
+/// [`set_flag`] for a duration given in milliseconds.
+fn set_millis(args: &[String], name: &str, slot: &mut Duration) -> Result<(), String> {
+    let mut ms = slot.as_millis() as u64;
+    set_flag(args, name, &mut ms)?;
+    *slot = Duration::from_millis(ms);
+    Ok(())
+}
+
+/// The front-end flags `serve` and both cluster roles share.
+fn front_end_flags(
+    args: &[String],
+    addr: &mut String,
+    workers: &mut usize,
+    queue_depth: &mut usize,
+    read_timeout: &mut Duration,
+    handle_deadline: &mut Duration,
+    max_body: &mut usize,
+) -> Result<(), String> {
+    set_flag(args, "--addr", addr)?;
+    set_flag(args, "--workers", workers)?;
+    set_flag(args, "--queue-depth", queue_depth)?;
+    set_millis(args, "--read-timeout-ms", read_timeout)?;
+    set_millis(args, "--handle-deadline-ms", handle_deadline)?;
+    set_flag(args, "--max-body", max_body)
 }
 
 enum Db {
@@ -435,104 +455,41 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let snapshot = flag(args, "--snapshot").ok_or("--snapshot is required")?;
     let mut options = milr::serve::ServeOptions::default();
-    if let Some(addr) = flag(args, "--addr") {
-        options.addr = addr;
-    }
-    if let Some(text) = flag(args, "--workers") {
-        options.workers = text
-            .parse()
-            .map_err(|_| format!("invalid --workers {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--queue-depth") {
-        options.queue_depth = text
-            .parse()
-            .map_err(|_| format!("invalid --queue-depth {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--cache-capacity") {
-        options.cache_capacity = text
-            .parse()
-            .map_err(|_| format!("invalid --cache-capacity {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--page") {
-        options.default_page = text
-            .parse()
-            .map_err(|_| format!("invalid --page {text:?}"))?;
-    }
+    front_end_flags(
+        args,
+        &mut options.addr,
+        &mut options.workers,
+        &mut options.queue_depth,
+        &mut options.read_timeout,
+        &mut options.handle_deadline,
+        &mut options.max_body,
+    )?;
+    set_flag(args, "--cache-capacity", &mut options.cache_capacity)?;
+    set_flag(args, "--page", &mut options.default_page)?;
     if let Some(spec) = flag(args, "--policy") {
         options.retrieval.policy = parse_policy(&spec)?;
     }
-    if let Some(text) = flag(args, "--read-timeout-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --read-timeout-ms {text:?}"))?;
-        options.read_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--handle-deadline-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --handle-deadline-ms {text:?}"))?;
-        options.handle_deadline = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--keepalive-requests") {
-        options.keepalive_requests = text
-            .parse()
-            .map_err(|_| format!("invalid --keepalive-requests {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--keepalive-burst") {
-        options.keepalive_burst = text
-            .parse()
-            .map_err(|_| format!("invalid --keepalive-burst {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--keepalive-turn-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --keepalive-turn-ms {text:?}"))?;
-        options.keepalive_turn = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--idle-timeout-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --idle-timeout-ms {text:?}"))?;
-        options.idle_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--priority-shed-fill") {
-        options.priority_shed_fill = text
-            .parse()
-            .map_err(|_| format!("invalid --priority-shed-fill {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--warm-train") {
-        options.warm_train = text
-            .parse()
-            .map_err(|_| format!("invalid --warm-train {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--max-body") {
-        options.max_body = text
-            .parse()
-            .map_err(|_| format!("invalid --max-body {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--session-ttl-s") {
-        let s: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --session-ttl-s {text:?}"))?;
-        options.session_ttl = std::time::Duration::from_secs(s);
-    }
-    if let Some(text) = flag(args, "--session-capacity") {
-        options.session_capacity = text
-            .parse()
-            .map_err(|_| format!("invalid --session-capacity {text:?}"))?;
-    }
-    if args.iter().any(|a| a == "--debug-endpoints") {
-        options.debug_endpoints = true;
-    }
-    if args.iter().any(|a| a == "--watch-snapshot") {
-        options.watch_snapshot = true;
-    }
-    if let Some(text) = flag(args, "--watch-interval-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --watch-interval-ms {text:?}"))?;
-        options.watch_interval = std::time::Duration::from_millis(ms);
-    }
+    set_flag(
+        args,
+        "--keepalive-requests",
+        &mut options.keepalive_requests,
+    )?;
+    set_flag(args, "--keepalive-burst", &mut options.keepalive_burst)?;
+    set_millis(args, "--keepalive-turn-ms", &mut options.keepalive_turn)?;
+    set_millis(args, "--idle-timeout-ms", &mut options.idle_timeout)?;
+    set_flag(
+        args,
+        "--priority-shed-fill",
+        &mut options.priority_shed_fill,
+    )?;
+    set_flag(args, "--warm-train", &mut options.warm_train)?;
+    let mut ttl_s = options.session_ttl.as_secs();
+    set_flag(args, "--session-ttl-s", &mut ttl_s)?;
+    options.session_ttl = Duration::from_secs(ttl_s);
+    set_flag(args, "--session-capacity", &mut options.session_capacity)?;
+    options.debug_endpoints = args.iter().any(|a| a == "--debug-endpoints");
+    options.watch_snapshot = args.iter().any(|a| a == "--watch-snapshot");
+    set_millis(args, "--watch-interval-ms", &mut options.watch_interval)?;
     options.backend = flag(args, "--backend");
     // Parallelism is across requests, not within them.
     options.retrieval.threads = 1;
@@ -568,40 +525,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared `--addr/--workers/--queue-depth/...` parsing for the two
-/// cluster roles.
+/// The front-end flags of the two cluster roles.
 fn cluster_node_options(args: &[String]) -> Result<milr::cluster::NodeOptions, String> {
     let mut node = milr::cluster::NodeOptions::default();
-    if let Some(addr) = flag(args, "--addr") {
-        node.addr = addr;
-    }
-    if let Some(text) = flag(args, "--workers") {
-        node.workers = text
-            .parse()
-            .map_err(|_| format!("invalid --workers {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--queue-depth") {
-        node.queue_depth = text
-            .parse()
-            .map_err(|_| format!("invalid --queue-depth {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--read-timeout-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --read-timeout-ms {text:?}"))?;
-        node.read_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--handle-deadline-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --handle-deadline-ms {text:?}"))?;
-        node.handle_deadline = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--max-body") {
-        node.max_body = text
-            .parse()
-            .map_err(|_| format!("invalid --max-body {text:?}"))?;
-    }
+    front_end_flags(
+        args,
+        &mut node.addr,
+        &mut node.workers,
+        &mut node.queue_depth,
+        &mut node.read_timeout,
+        &mut node.handle_deadline,
+        &mut node.max_body,
+    )?;
     Ok(node)
 }
 
@@ -624,36 +559,18 @@ fn cmd_serve_coordinator(args: &[String]) -> Result<(), String> {
     if options.workers.is_empty() {
         return Err("--worker-addrs names no workers".into());
     }
-    if let Some(text) = flag(args, "--cache-capacity") {
-        options.cache_capacity = text
-            .parse()
-            .map_err(|_| format!("invalid --cache-capacity {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--page") {
-        options.default_page = text
-            .parse()
-            .map_err(|_| format!("invalid --page {text:?}"))?;
-    }
+    set_flag(args, "--cache-capacity", &mut options.cache_capacity)?;
+    set_flag(args, "--page", &mut options.default_page)?;
     if let Some(spec) = flag(args, "--policy") {
         options.retrieval.policy = parse_policy(&spec)?;
     }
-    if let Some(text) = flag(args, "--worker-deadline-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --worker-deadline-ms {text:?}"))?;
-        options.worker_deadline = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--health-interval-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --health-interval-ms {text:?}"))?;
-        options.health_interval = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--eviction-threshold") {
-        options.eviction_threshold = text
-            .parse()
-            .map_err(|_| format!("invalid --eviction-threshold {text:?}"))?;
-    }
+    set_millis(args, "--worker-deadline-ms", &mut options.worker_deadline)?;
+    set_millis(args, "--health-interval-ms", &mut options.health_interval)?;
+    set_flag(
+        args,
+        "--eviction-threshold",
+        &mut options.eviction_threshold,
+    )?;
     if args.iter().any(|a| a == "--sequential-fanout") {
         options.sequential_fanout = true;
     }
